@@ -12,10 +12,9 @@ use crate::modules;
 use crate::tech::{um2_to_mm2, BlockCost, OperatingPoint};
 use geo_sc::Accumulation;
 use geo_sc::KernelDims;
-use serde::{Deserialize, Serialize};
 
 /// The optimization toggles distinguishing Base from GEO variants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Optimizations {
     /// Moderate RNG sharing: one LFSR set shared across rows (§II-A).
     pub shared_generation: bool,
@@ -80,7 +79,7 @@ impl Optimizations {
 }
 
 /// Area/energy breakdown categories — exactly the legend of Fig. 6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Category {
     /// SC MAC arrays (AND gates, OR trees, partial-binary counters,
     /// pipeline registers).
@@ -147,7 +146,7 @@ impl Category {
 }
 
 /// A GEO accelerator design point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccelConfig {
     /// Configuration name, e.g. `"GEO-ULP-32,64"`.
     pub name: String,

@@ -10,10 +10,9 @@ use crate::memory::{Hbm2, Sram};
 use crate::network::NetworkDesc;
 use crate::perfsim::SimReport;
 use crate::tech::OperatingPoint;
-use serde::{Deserialize, Serialize};
 
 /// An Eyeriss-like fixed-point accelerator design point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EyerissConfig {
     /// Configuration name.
     pub name: String,

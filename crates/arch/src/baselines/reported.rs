@@ -6,10 +6,8 @@
 //! can be meaningfully re-simulated, so, exactly like the paper, we carry
 //! their reported numbers as typed constants (Tables I–III).
 
-use serde::{Deserialize, Serialize};
-
 /// A published accelerator datapoint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReportedPoint {
     /// Accelerator name.
     pub name: &'static str,

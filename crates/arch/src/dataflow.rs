@@ -9,10 +9,9 @@
 //! schedule.
 
 use crate::network::LayerShape;
-use serde::{Deserialize, Serialize};
 
 /// The schedule family used for a layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dataflow {
     /// Weights resident; activations stream past (GEO with near-memory
     /// partial sums when kernels don't fit).
@@ -25,7 +24,7 @@ pub enum Dataflow {
 }
 
 /// The MAC-array geometry the schedule maps onto.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArraySpec {
     /// Parallel rows (output channels computed simultaneously).
     pub rows: usize,
@@ -47,7 +46,7 @@ impl ArraySpec {
 }
 
 /// Element-granular memory access counts for one layer under one schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AccessCounts {
     /// Weight-memory reads.
     pub weight_reads: u64,

@@ -6,8 +6,6 @@
 //! instruction for near-memory partial-sum accumulation (§III-C) and
 //! near-memory batch normalization.
 
-use serde::{Deserialize, Serialize};
-
 /// Operand addressing of one `GEN` pass: which slice of a layer's output
 /// volume the pass produces, and which SNG bank drives it.
 ///
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// `col_passes`). Only the final column pass of a tile completes its
 /// outputs — earlier passes leave partial sums for near-memory
 /// accumulation (§III-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Tile {
     /// Layer index in the compiled network.
     pub layer: u32,
@@ -64,7 +62,7 @@ impl Tile {
 
 /// One GEO instruction, parameterized by its data volume and — for compute
 /// passes — the output tile it addresses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Instr {
     /// Load weights from external memory into a weight-memory bank
     /// (ping-pong: overlaps with compute).
@@ -133,7 +131,7 @@ impl Instr {
 }
 
 /// A compiled program: instruction stream plus per-layer markers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Program {
     /// Network name.
     pub name: String,

@@ -21,7 +21,6 @@ use crate::modules::{
 use crate::tech::BlockCost;
 use geo_sc::Accumulation;
 use geo_sc::KernelDims;
-use serde::{Deserialize, Serialize};
 
 /// Kernel sizes the paper sweeps in Fig. 5.
 pub fn fig5_kernel_sizes() -> Vec<KernelDims> {
@@ -72,7 +71,7 @@ pub fn sc_mac_unit(dims: KernelDims, mode: Accumulation) -> BlockCost {
 }
 
 /// One Fig. 5 row: kernel size and per-mode area, normalized to SC.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5Row {
     /// Kernel dimensions.
     pub dims: (usize, usize, usize),

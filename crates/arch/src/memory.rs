@@ -2,8 +2,6 @@
 //! memory (after O'Connor et al., the model the paper cites for its LP
 //! variant).
 
-use serde::{Deserialize, Serialize};
-
 /// An on-chip SRAM macro.
 ///
 /// Analytic stand-in for CACTI 6.5 (see DESIGN.md §3): area linear in
@@ -11,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// dominated), leakage linear in capacity. Constants anchored to published
 /// 28 nm SRAM macros (≈0.35 µm²/bit including periphery; a 32 KB macro
 /// reads 64 bits for ≈6 pJ).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sram {
     /// Capacity in bytes.
     pub bytes: usize,
@@ -109,7 +107,7 @@ impl Sram {
 /// Modeled as a cost *query* on [`Sram`] rather than a field so existing
 /// macro descriptions stay valid: the unprotected figures are the baseline
 /// and each scheme reports its overhead on top.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EccScheme {
     /// No protection: raw bit upsets reach the datapath.
     #[default]
@@ -143,7 +141,7 @@ impl EccScheme {
 
 /// HBM2 external memory model (O'Connor et al., MICRO 2017): ≈3.9 pJ/bit
 /// end-to-end access energy, 256 GB/s per stack.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Hbm2 {
     /// Access energy per bit, picojoules.
     pub pj_per_bit: f64,

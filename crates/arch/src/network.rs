@@ -10,10 +10,9 @@
 //! engine can never disagree about a network's shape.
 
 use geo_nn::{Layer, ModelSpec, Sequential, SpecLayer};
-use serde::{Deserialize, Serialize};
 
 /// Shape of one compute layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LayerShape {
     /// A 2-d convolution.
     Conv {
@@ -112,7 +111,7 @@ impl LayerShape {
 }
 
 /// An ordered stack of compute layers with a name.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetworkDesc {
     /// Network name, e.g. `"CNN-4 (CIFAR-10)"`.
     pub name: String,

@@ -6,10 +6,9 @@
 use crate::accel::{AccelConfig, Category};
 use crate::isa::{Instr, Program};
 use crate::progressive_timing;
-use serde::{Deserialize, Serialize};
 
 /// Result of simulating one inference.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimReport {
     /// Configuration name.
     pub config: String,
@@ -210,7 +209,7 @@ pub fn run(accel: &AccelConfig, net: &crate::network::NetworkDesc) -> SimReport 
 /// compute (Fig. 4); [`LayerTraffic::pingpong_bytes`] is their sum.
 /// External (HBM2) transfers are kept separate — they feed the ping-pong
 /// weight banks but are billed to the external interface.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LayerTraffic {
     /// Bytes loaded from external memory (LP variants; 0 on-chip).
     pub external_bytes: u64,

@@ -7,8 +7,6 @@
 //! paper compares *ratios* under one consistent constant set, which this
 //! preserves.
 
-use serde::{Deserialize, Serialize};
-
 /// One gate equivalent (GE) = the area of a NAND2 cell.
 pub const GE_AREA_UM2: f64 = 0.49;
 /// Dynamic energy per GE toggle at nominal voltage, in femtojoules.
@@ -33,7 +31,7 @@ pub mod ge {
 }
 
 /// Operating point: supply voltage and clock frequency.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Supply voltage in volts.
     pub voltage: f64,
@@ -102,7 +100,7 @@ impl OperatingPoint {
 }
 
 /// An area/energy/leakage triple for a hardware block.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BlockCost {
     /// Area in µm².
     pub area_um2: f64,

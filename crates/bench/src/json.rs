@@ -1,6 +1,6 @@
 //! Minimal hermetic JSON support shared by the bench artifacts.
 //!
-//! The workspace is hermetic (no `serde_json`), so the bench crate
+//! The workspace is hermetic (no external JSON crate), so the bench crate
 //! carries its own writer helpers and a recursive-descent reader
 //! covering exactly the subset the artifact writers emit: objects,
 //! arrays, strings (`\"`/`\\`/`\uXXXX` escapes), numbers, booleans, and

@@ -2,7 +2,6 @@
 
 use crate::error::GeoError;
 use geo_sc::{RngKind, SharingLevel, MAX_WIDTH, MIN_WIDTH};
-use serde::{Deserialize, Serialize};
 
 // The accumulation split is substrate-level vocabulary shared with
 // `geo-arch`; it lives in `geo-sc` and is re-exported here so
@@ -16,7 +15,7 @@ pub use geo_sc::Accumulation;
 /// them be shorter), other hidden layers run `stream_len`, and the output
 /// layer always runs `output_stream_len` (128 in the paper). The effective
 /// hardware stream is twice each value due to split-unipolar operation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoConfig {
     /// RNG sharing policy across a layer's kernels.
     pub sharing: SharingLevel,
@@ -169,7 +168,7 @@ impl GeoConfig {
 /// [`PreparedModel`](crate::PreparedModel); the submission queue holds at
 /// most `queue_depth` requests before
 /// [`GeoError::ServeOverflow`](crate::GeoError) pushes back on callers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Maximum requests fused into one batched forward pass.
     pub max_batch: usize,

@@ -42,10 +42,20 @@
 //! immutable, `Send + Sync`, `Arc`-shareable [`PreparedModel`] whose
 //! [`PreparedModel::forward`] borrows `&self` — the compile-once,
 //! serve-many entry point `geo_core::serve` batches requests against.
-//! [`ScEngine::forward`] itself is reimplemented as prepare-then-compute
-//! at inference (training keeps the interleaved loop so float layers can
-//! cache), which is what pins the prepared path bit-identical to every
-//! historical output.
+//!
+//! There is one SC datapath: every conv/linear layer, whichever entry
+//! point runs it, goes through one per-layer prepare
+//! ([`ScEngine::prepare_layer`]) and one step executor
+//! ([`PreparedStep::run`]). [`ScEngine::forward`] at inference is
+//! prepare-then-compute over the whole network, which is what pins the
+//! prepared path bit-identical to every historical output. In training
+//! it walks the layers so float layers can run `&mut` forwards and cache
+//! their inputs for backward, taking each conv/linear output from the
+//! executor on that layer's unfused step — SC-in-the-loop training runs
+//! exactly the datapath inference runs.
+//! [`ScEngine::forward_single_layer`] prepares and runs only its own
+//! layer, and [`crate::ProgramExecutor`] drives the same paths with
+//! program-decoded stream lengths.
 //!
 //! # Sparsity-compacted kernels (DESIGN.md §11)
 //!
@@ -69,7 +79,7 @@ use crate::tables::{ProgressiveTable, TableCache};
 use crate::telemetry::{self, EngineTelemetry, LayerCounters, Phase, Stopwatch, TelemetryReport};
 use geo_nn::{Conv2d, Layer, Linear, Sequential, Tensor};
 use geo_sc::fault::{FaultCounters, FaultInjector, FaultModel};
-use geo_sc::{quantize_unipolar, Bitstream, KernelDims, SeedPlan, StreamTable};
+use geo_sc::{quantize_unipolar, Bitstream, KernelDims, RngSpec, SeedPlan, StreamTable};
 use rayon::prelude::*;
 use std::sync::{Arc, Mutex};
 
@@ -570,9 +580,9 @@ struct PreparedLinear {
 
 /// One request's quantized activations: the only input-dependent state a
 /// prepared layer's compute phase reads. Produced by
-/// [`PreparedConv::quantize_acts`] / [`PreparedLinear::quantize_acts`],
-/// which also range-validate the levels so compute-phase table lookups
-/// stay infallible.
+/// [`PreparedConv::accept`] / [`PreparedLinear::accept`], which also
+/// range-validate the levels so compute-phase table lookups stay
+/// infallible.
 struct ActBatch {
     /// Batch dimension of the request.
     n: usize,
@@ -613,13 +623,26 @@ enum Emit {
     Float,
     /// Materialize the downstream SC layer's activation levels directly,
     /// quantized with *its* generation mode and width — the exact values
-    /// its `quantize_acts` would have produced from the f32 tensor.
+    /// its `accept` would have produced from the f32 tensor.
     Levels {
         /// Consumer's progressive-generation flag.
         progressive: bool,
         /// Consumer's quantization width (`log2` of its stream length).
         width: u8,
     },
+}
+
+impl Emit {
+    /// Materializes a computed f32 tensor in this output form.
+    fn apply(self, t: Tensor) -> Flow {
+        match self {
+            Emit::Float => Flow::Float(t),
+            Emit::Levels { progressive, width } => Flow::Levels(LevelTensor {
+                shape: t.shape().to_vec(),
+                levels: Flow::Float(t).into_levels(progressive, width),
+            }),
+        }
+    }
 }
 
 /// Quantized activation levels flowing between chained SC layers in
@@ -644,6 +667,29 @@ enum Flow {
 }
 
 impl Flow {
+    /// The logical activation shape, whichever form carries it.
+    fn shape(&self) -> &[usize] {
+        match self {
+            Flow::Float(t) => t.shape(),
+            Flow::Levels(lt) => &lt.shape,
+        }
+    }
+
+    /// The activation levels of an SC consumer quantizing with
+    /// `progressive`/`width`: an f32 tensor goes through [`act_level`];
+    /// chained levels were produced upstream with exactly these
+    /// parameters, so `act_level` runs once per pixel across the chain.
+    fn into_levels(self, progressive: bool, width: u8) -> Vec<u32> {
+        match self {
+            Flow::Float(t) => t
+                .data()
+                .iter()
+                .map(|&x| act_level(progressive, x, width))
+                .collect(),
+            Flow::Levels(lt) => lt.levels,
+        }
+    }
+
     /// Unwraps the f32 tensor, erroring on a chained value — used by the
     /// float-only steps (batch norm, pooling, network output), which the
     /// prepare-time chaining pass never feeds levels by construction.
@@ -1193,96 +1239,40 @@ fn record_error(slot: &Mutex<Option<GeoError>>, err: GeoError) {
 }
 
 impl PreparedConv {
-    /// Quantizes one request's activations into compute-ready levels,
-    /// validating the batch's shape against the prepared geometry and its
-    /// maximum level against the lane tables (keeping compute-phase
-    /// lookups infallible). Pure per-element work — safe to run
-    /// concurrently from any number of requests.
-    fn quantize_acts(&self, input: &Tensor) -> Result<ActBatch, GeoError> {
-        let s = input.shape();
-        if s.len() != 4 || s[1] != self.cin {
-            return Err(GeoError::Nn(geo_nn::NnError::ShapeMismatch {
-                expected: format!("(N, {}, H, W)", self.cin),
-                actual: s.to_vec(),
-            }));
-        }
-        if s[2] != self.h || s[3] != self.w {
-            return Err(GeoError::Nn(geo_nn::NnError::ShapeMismatch {
-                expected: format!("(N, {}, {}, {})", self.cin, self.h, self.w),
-                actual: s.to_vec(),
-            }));
-        }
-        let levels: Vec<u32> = input
-            .data()
-            .iter()
-            .map(|&x| act_level(self.progressive, x, self.width))
-            .collect();
-        validate_act_levels(&self.act_tables, &levels)?;
-        Ok(ActBatch { n: s[0], levels })
-    }
-
-    /// Accepts either activation form: an f32 tensor is quantized as
-    /// always; chained levels (produced upstream with this layer's width
-    /// and generation mode) skip quantization and only re-validate shape
-    /// and range, so `act_level` runs once per pixel across the chain.
+    /// Accepts one request's activations in either form and turns them
+    /// into compute-ready levels, validating the batch's shape against
+    /// the prepared geometry and its maximum level against the lane
+    /// tables (keeping compute-phase lookups infallible). An f32 tensor
+    /// is quantized; chained levels (produced upstream with this layer's
+    /// width and generation mode) are only re-validated. Pure
+    /// per-element work — safe to run concurrently from any number of
+    /// requests.
     fn accept(&self, flow: Flow) -> Result<ActBatch, GeoError> {
-        let lt = match flow {
-            Flow::Float(t) => return self.quantize_acts(&t),
-            Flow::Levels(lt) => lt,
-        };
-        let s = &lt.shape;
+        let s = flow.shape();
         if s.len() != 4 || s[1] != self.cin {
-            return Err(GeoError::Nn(geo_nn::NnError::ShapeMismatch {
-                expected: format!("(N, {}, H, W)", self.cin),
-                actual: s.clone(),
-            }));
+            return Err(shape_mismatch(format!("(N, {}, H, W)", self.cin), s));
         }
         if s[2] != self.h || s[3] != self.w {
-            return Err(GeoError::Nn(geo_nn::NnError::ShapeMismatch {
-                expected: format!("(N, {}, {}, {})", self.cin, self.h, self.w),
-                actual: s.clone(),
-            }));
+            let expected = format!("(N, {}, {}, {})", self.cin, self.h, self.w);
+            return Err(shape_mismatch(expected, s));
         }
-        validate_act_levels(&self.act_tables, &lt.levels)?;
-        Ok(ActBatch {
-            n: lt.shape[0],
-            levels: lt.levels,
-        })
+        let n = s[0];
+        let levels = flow.into_levels(self.progressive, self.width);
+        validate_act_levels(&self.act_tables, &levels)?;
+        Ok(ActBatch { n, levels })
     }
 
-    /// Phase 2: computes the whole output tensor, parallelizing over
-    /// spatial rows `(b, oy)` so one activation gather is shared by every
-    /// output channel (DESIGN.md §14). Workers write a `[n, oh, cout, ow]`
-    /// staging buffer that a serial pass transposes to the `[n, cout, oh,
-    /// ow]` output layout. Bit-identical at every thread count: each
-    /// staging row is written by exactly one worker from shared immutable
-    /// state, and each pixel is a pure function of its indices.
-    /// Infallible — every lookup the compacted kernels perform was
-    /// validated at prepare/quantize time.
-    fn compute(&self, batch: &ActBatch, tel: &LayerCounters) -> Tensor {
-        let tmp = self.compute_rows(batch, tel);
-        self.transpose_stage(&tmp, batch.n, self.oh, self.ow)
-    }
-
-    /// [`PreparedConv::compute`], emitting the downstream SC layer's
-    /// quantized levels instead of an f32 tensor: `act_level` runs inside
-    /// the serial transpose, so the chained consumer skips its whole
-    /// quantization pass. Values quantized are bit-identical to the f32
-    /// tensor [`PreparedConv::compute`] would have produced.
-    fn compute_levels(
-        &self,
-        batch: &ActBatch,
-        tel: &LayerCounters,
-        progressive: bool,
-        width: u8,
-    ) -> LevelTensor {
-        let tmp = self.compute_rows(batch, tel);
-        self.transpose_stage_levels(&tmp, batch.n, self.oh, self.ow, progressive, width)
-    }
-
-    /// The parallel half of [`PreparedConv::compute`]: fills the
-    /// `[n, oh, cout, ow]` staging buffer, one spatial row per chunk.
-    fn compute_rows(&self, batch: &ActBatch, tel: &LayerCounters) -> Vec<f32> {
+    /// Phase 2: computes the whole output, parallelizing over spatial
+    /// rows `(b, oy)` so one activation gather is shared by every output
+    /// channel (DESIGN.md §14). Workers write a `[n, oh, cout, ow]`
+    /// staging buffer, one spatial row per chunk, that a serial pass
+    /// transposes to the `[n, cout, oh, ow]` output layout in the form
+    /// `emit` asks for. Bit-identical at every thread count: each staging
+    /// row is written by exactly one worker from shared immutable state,
+    /// and each pixel is a pure function of its indices. Infallible —
+    /// every lookup the compacted kernels perform was validated at
+    /// prepare/accept time.
+    fn compute(&self, batch: &ActBatch, tel: &LayerCounters, emit: Emit) -> Flow {
         let row_elems = self.cout * self.ow;
         let mut tmp = vec![0f32; batch.n * self.oh * row_elems];
         tmp.par_chunks_mut(row_elems.max(1))
@@ -1304,7 +1294,7 @@ impl PreparedConv {
                     }
                 },
             );
-        tmp
+        self.transpose_stage(&tmp, batch.n, self.oh, self.ow, emit)
     }
 
     /// Fused conv→avg-pool compute (§III-A computation skipping): workers
@@ -1353,51 +1343,48 @@ impl PreparedConv {
     }
 
     /// Serial transpose of a `[n, r, cout, c]` staging buffer into the
-    /// `[n, cout, r, c]` output tensor (`r`/`c` are full-resolution or
-    /// pooled dims).
-    fn transpose_stage(&self, tmp: &[f32], n: usize, r: usize, c: usize) -> Tensor {
-        let row_elems = self.cout * c;
-        let mut out = Tensor::zeros(&[n, self.cout, r, c]);
-        let data = out.data_mut();
-        for b in 0..n {
-            for y in 0..r {
-                let src = &tmp[(b * r + y) * row_elems..][..row_elems];
-                for co in 0..self.cout {
-                    let dst = ((b * self.cout + co) * r + y) * c;
-                    data[dst..dst + c].copy_from_slice(&src[co * c..][..c]);
-                }
+    /// `[n, cout, r, c]` output layout (`r`/`c` are full-resolution or
+    /// pooled dims), materialized as `emit` asks: an f32 tensor, or the
+    /// chained consumer's levels with its [`act_level`] quantization
+    /// fused into the copy, so the consumer skips its quantization pass.
+    fn transpose_stage(&self, tmp: &[f32], n: usize, r: usize, c: usize, emit: Emit) -> Flow {
+        let shape = vec![n, self.cout, r, c];
+        match emit {
+            Emit::Float => {
+                let mut out = Tensor::zeros(&shape);
+                self.transpose_into(tmp, out.data_mut(), n, r, c, |v| v);
+                Flow::Float(out)
+            }
+            Emit::Levels { progressive, width } => {
+                let mut levels = vec![0u32; tmp.len()];
+                self.transpose_into(tmp, &mut levels, n, r, c, |v| {
+                    act_level(progressive, v, width)
+                });
+                Flow::Levels(LevelTensor { shape, levels })
             }
         }
-        out
     }
 
-    /// [`PreparedConv::transpose_stage`] fused with the chained
-    /// consumer's [`act_level`] quantization.
-    fn transpose_stage_levels(
+    fn transpose_into<T>(
         &self,
         tmp: &[f32],
+        dst: &mut [T],
         n: usize,
         r: usize,
         c: usize,
-        progressive: bool,
-        width: u8,
-    ) -> LevelTensor {
+        map: impl Fn(f32) -> T,
+    ) {
         let row_elems = self.cout * c;
-        let mut levels = vec![0u32; n * self.cout * r * c];
         for b in 0..n {
             for y in 0..r {
                 let src = &tmp[(b * r + y) * row_elems..][..row_elems];
                 for co in 0..self.cout {
-                    let dst = ((b * self.cout + co) * r + y) * c;
-                    for (d, &v) in levels[dst..dst + c].iter_mut().zip(&src[co * c..][..c]) {
-                        *d = act_level(progressive, v, width);
+                    let at = ((b * self.cout + co) * r + y) * c;
+                    for (d, &v) in dst[at..at + c].iter_mut().zip(&src[co * c..][..c]) {
+                        *d = map(v);
                     }
                 }
             }
-        }
-        LevelTensor {
-            shape: vec![n, self.cout, r, c],
-            levels,
         }
     }
 
@@ -1604,51 +1591,28 @@ struct FusedEpilogue<'a> {
 }
 
 impl PreparedLinear {
-    /// Quantizes one request's activations (see
-    /// [`PreparedConv::quantize_acts`]).
-    fn quantize_acts(&self, input: &Tensor) -> Result<ActBatch, GeoError> {
-        let s = input.shape();
+    /// Accepts one request's activations in either form (see
+    /// [`PreparedConv::accept`]).
+    fn accept(&self, flow: Flow) -> Result<ActBatch, GeoError> {
+        let s = flow.shape();
         if s.len() != 2 || s[1] != self.features {
-            return Err(GeoError::Nn(geo_nn::NnError::ShapeMismatch {
-                expected: format!("(N, {})", self.features),
-                actual: s.to_vec(),
-            }));
+            return Err(shape_mismatch(format!("(N, {})", self.features), s));
         }
         let n = s[0];
-        let levels: Vec<u32> = (0..n)
-            .flat_map(|b| (0..self.features).map(move |i| (b, i)))
-            .map(|(b, i)| act_level(self.progressive, input.at2(b, i), self.width))
-            .collect();
+        let levels = flow.into_levels(self.progressive, self.width);
         validate_act_levels(&self.act_tables, &levels)?;
         Ok(ActBatch { n, levels })
     }
 
-    /// Accepts either activation form (see [`PreparedConv::accept`]).
-    fn accept(&self, flow: Flow) -> Result<ActBatch, GeoError> {
-        let lt = match flow {
-            Flow::Float(t) => return self.quantize_acts(&t),
-            Flow::Levels(lt) => lt,
-        };
-        if lt.shape.len() != 2 || lt.shape[1] != self.features {
-            return Err(GeoError::Nn(geo_nn::NnError::ShapeMismatch {
-                expected: format!("(N, {})", self.features),
-                actual: lt.shape.clone(),
-            }));
-        }
-        validate_act_levels(&self.act_tables, &lt.levels)?;
-        Ok(ActBatch {
-            n: lt.shape[0],
-            levels: lt.levels,
-        })
-    }
-
-    /// Phase 2: computes the whole output tensor. Output neurons
-    /// `(b, o)` are split into one contiguous run per worker (rather
-    /// than scheduling each neuron as its own chunk), so per-chunk
-    /// dispatch overhead is paid once per worker. Chunk geometry cannot
-    /// affect the numerics — each neuron is a pure function of its row
-    /// index — so this stays bit-identical at every thread count.
-    fn compute(&self, batch: &ActBatch, tel: &LayerCounters) -> Tensor {
+    /// Phase 2: computes the whole output, materialized as `emit` asks
+    /// (chained levels are a serial map over the small `[n, outf]`
+    /// output). Output neurons `(b, o)` are split into one contiguous
+    /// run per worker (rather than scheduling each neuron as its own
+    /// chunk), so per-chunk dispatch overhead is paid once per worker.
+    /// Chunk geometry cannot affect the numerics — each neuron is a pure
+    /// function of its row index — so this stays bit-identical at every
+    /// thread count.
+    fn compute(&self, batch: &ActBatch, tel: &LayerCounters, emit: Emit) -> Flow {
         let mut out = Tensor::zeros(&[batch.n, self.outf]);
         let total = batch.n * self.outf;
         let chunk_rows = total.div_ceil(rayon::current_num_threads().max(1)).max(1);
@@ -1680,28 +1644,7 @@ impl PreparedLinear {
                     scratch.debug_check();
                 },
             );
-        out
-    }
-
-    /// [`PreparedLinear::compute`], emitting the downstream SC layer's
-    /// quantized levels (a serial map over the small `[n, outf]` output;
-    /// see [`PreparedConv::compute_levels`]).
-    fn compute_levels(
-        &self,
-        batch: &ActBatch,
-        tel: &LayerCounters,
-        progressive: bool,
-        width: u8,
-    ) -> LevelTensor {
-        let out = self.compute(batch, tel);
-        LevelTensor {
-            shape: vec![batch.n, self.outf],
-            levels: out
-                .data()
-                .iter()
-                .map(|&v| act_level(progressive, v, width))
-                .collect(),
-        }
+        emit.apply(out)
     }
 
     /// Gathers batch element `b`'s activation words — one unit per input
@@ -1966,12 +1909,16 @@ impl ScEngine {
     /// the plan), so both paths share one datapath and stay bit-identical
     /// by construction.
     ///
-    /// Inference runs as prepare-then-compute through a one-shot
-    /// [`PreparedModel`] — the same code the serve path reuses across
-    /// requests, which is what pins that path bit-identical to every
-    /// historical `forward` output. Training keeps the interleaved
-    /// per-layer loop because float layers must run `&mut` forwards to
-    /// cache inputs for backward.
+    /// Both arms run every SC layer through the one per-layer prepare
+    /// ([`Self::prepare_layer`]) and the one step executor
+    /// ([`PreparedStep::run`]). Inference prepares the whole network into
+    /// a one-shot [`PreparedModel`] — the same code the serve path reuses
+    /// across requests, which is what pins that path bit-identical to
+    /// every historical `forward` output. Training walks the layers
+    /// itself, because float layers must run `&mut` forwards to cache
+    /// inputs for backward (batch norm on batch statistics): each
+    /// conv/linear layer runs its float forward, then takes its output
+    /// from the executor on that layer's unfused step.
     pub(crate) fn forward_with_lens<F>(
         &mut self,
         model: &mut Sequential,
@@ -1987,59 +1934,51 @@ impl ScEngine {
             let prepared = self.prepare_with_lens(model, input.shape(), &mut len_for)?;
             let out = prepared.forward(input);
             // Fold the pass's locally accumulated counters back into the
-            // engine's reports, exactly as the interleaved loop recorded
-            // them in place.
+            // engine's reports.
             self.telemetry.absorb(&prepared.telemetry);
             self.resilience.absorb(&prepared.resilience);
             return out;
         }
         self.cache.begin_pass();
-        self.telemetry.passes.incr();
+        let mut telemetry = EngineTelemetry::default();
+        let mut resilience = ResilienceReport::default();
+        telemetry.passes.incr();
         if self.fault_model().is_some() {
-            self.resilience.passes += 1;
+            resilience.passes = 1;
         }
         model.set_training(true);
         let plan = self.stream_plan(model);
         let mut x = input.clone();
         let mut param_layer = 0u32;
         for (i, layer) in model.layers_mut().iter_mut().enumerate() {
-            match layer {
-                Layer::Conv2d(conv) => {
+            x = match layer {
+                Layer::Conv2d(_) | Layer::Linear(_) => {
                     let len = len_for(param_layer, planned_len(&plan, i)?)?;
-                    let _ = conv.forward(&x)?; // cache input for backward
-                    let before = self.cache.fault_counters();
-                    x = self.sc_conv(conv, &x, len, param_layer)?;
-                    self.record_layer_faults(param_layer, before);
+                    layer.forward(&x)?; // cache input for backward
+                    let step = self.prepare_layer(
+                        layer,
+                        x.shape(),
+                        len,
+                        param_layer,
+                        &mut telemetry,
+                        &mut resilience,
+                    )?;
                     param_layer += 1;
+                    step.run(Flow::Float(x), &telemetry, self.reference_kernels)?
+                        .into_float("training step output")?
                 }
-                Layer::Linear(lin) => {
-                    let len = len_for(param_layer, planned_len(&plan, i)?)?;
-                    let _ = lin.forward(&x)?;
-                    let before = self.cache.fault_counters();
-                    x = self.sc_linear(lin, &x, len, param_layer)?;
-                    self.record_layer_faults(param_layer, before);
-                    param_layer += 1;
-                }
-                Layer::BatchNorm2d(bn) => {
-                    x = bn.forward(&x)?;
-                }
-                Layer::Relu(r) => {
-                    // ReLU, then saturate at 1.0: unipolar streams cannot
-                    // carry more (the straight-through clamp SC training
-                    // learns around).
-                    x = r.forward(&x).map(|v| v.min(1.0));
-                }
+                // ReLU, then saturate at 1.0: unipolar streams cannot
+                // carry more (the straight-through clamp SC training
+                // learns around).
+                Layer::Relu(r) => r.forward(&x).map(|v| v.min(1.0)),
                 other => {
-                    let sw = Stopwatch::start();
-                    x = other.forward(&x)?;
-                    if telemetry::enabled() {
-                        self.telemetry
-                            .layer(param_layer.saturating_sub(1) as usize)
-                            .add_phase_ns(Phase::NearMem, sw.elapsed_ns());
-                    }
+                    let tel = telemetry.layer(param_layer.saturating_sub(1) as usize);
+                    timed(tel, Phase::NearMem, || other.forward(&x))?
                 }
-            }
+            };
         }
+        self.telemetry.absorb(&telemetry);
+        self.resilience.absorb(&resilience);
         Ok(x)
     }
 
@@ -2051,7 +1990,7 @@ impl ScEngine {
     /// after which any number of requests can run
     /// [`PreparedModel::forward`] concurrently against the shared state.
     ///
-    /// Table and fault-draw order matches the interleaved loop (compute
+    /// Table and fault-draw order matches a direct forward's (compute
     /// never touches the cache or RNG), so prepared outputs are
     /// bit-identical to direct forwards. One prepare consumes one cache
     /// pass: TRNG tables and transient faults are drawn here and then
@@ -2101,130 +2040,68 @@ impl ScEngine {
         let mut i = 0;
         while i < layers.len() {
             // Near-memory steps are attributed to the parametrized layer
-            // whose outputs they transform, as in the interleaved loop.
+            // whose outputs they transform, as in the training loop.
             let tel_layer = param_layer.saturating_sub(1) as usize;
-            match &layers[i] {
-                Layer::Conv2d(conv) => {
+            let step = match &layers[i] {
+                sc @ (Layer::Conv2d(_) | Layer::Linear(_)) => {
                     let len = len_for(param_layer, planned_len(&plan, i)?)?;
-                    if shape.len() != 4 || shape[1] != conv.cin() {
-                        return Err(GeoError::Nn(geo_nn::NnError::ShapeMismatch {
-                            expected: format!("(N, {}, H, W)", conv.cin()),
-                            actual: shape.clone(),
-                        }));
-                    }
-                    let before = self.cache.fault_counters();
-                    let (prep, stats) =
-                        self.prepare_conv(conv, (shape[2], shape[3]), len, param_layer)?;
-                    stats.apply(telemetry.layer(param_layer as usize));
-                    record_prepare_faults(
-                        &self.cache,
+                    let step = self.prepare_layer(
+                        sc,
+                        &shape,
+                        len,
                         param_layer,
-                        before,
                         &mut telemetry,
                         &mut resilience,
-                    );
-                    shape = vec![shape[0], prep.cout, prep.oh, prep.ow];
+                    )?;
+                    param_layer += 1;
                     // Fusion detection (§III-A): a `Conv → [BatchNorm] →
                     // [ReLU] → AvgPool2d` run with even output dims fuses
                     // into one step. Odd dims fall through — the unfused
                     // AvgPool arm then raises the identical shape error.
-                    // Resolve order is unchanged: `prepare_conv` above drew
-                    // this layer's tables/faults, and `BnAffine::prepare`
-                    // touches neither the cache nor the RNG.
-                    if let Some((bn, relu, next)) = fuse
-                        .then(|| fusible_pool_run(layers, i + 1))
-                        .flatten()
-                        .filter(|_| prep.oh.is_multiple_of(2) && prep.ow.is_multiple_of(2))
-                    {
-                        let bn = bn
-                            .map(|b| {
-                                let affine = BnAffine::prepare(b, self.config.bn_bits)?;
-                                if shape[1] != affine.scales.len() {
-                                    return Err(GeoError::Nn(geo_nn::NnError::ShapeMismatch {
-                                        expected: format!("(N, {}, H, W)", affine.scales.len()),
-                                        actual: shape.clone(),
-                                    }));
+                    // Resolve order is unchanged: `prepare_layer` above
+                    // drew this layer's tables/faults, and
+                    // `BnAffine::prepare` touches neither the cache nor
+                    // the RNG.
+                    match step {
+                        PreparedStep::Conv {
+                            layer,
+                            param_layer: pl,
+                            emit,
+                        } if fuse => match fusible_pool_run(layers, i + 1)
+                            .filter(|_| layer.oh.is_multiple_of(2) && layer.ow.is_multiple_of(2))
+                        {
+                            Some((bn, relu, next)) => {
+                                i = next - 1;
+                                PreparedStep::ConvPooled {
+                                    layer,
+                                    param_layer: pl,
+                                    bn: bn
+                                        .map(|b| BnAffine::prepare(b, self.config.bn_bits))
+                                        .transpose()?,
+                                    relu,
+                                    emit,
                                 }
-                                Ok(affine)
-                            })
-                            .transpose()?;
-                        shape = vec![shape[0], prep.cout, prep.oh / 2, prep.ow / 2];
-                        steps.push(PreparedStep::ConvPooled {
-                            layer: prep,
-                            param_layer,
-                            bn,
-                            relu,
-                            emit: Emit::Float,
-                        });
-                        param_layer += 1;
-                        i = next;
-                        continue;
+                            }
+                            None => PreparedStep::Conv {
+                                layer,
+                                param_layer: pl,
+                                emit,
+                            },
+                        },
+                        step => step,
                     }
-                    steps.push(PreparedStep::Conv {
-                        layer: prep,
-                        param_layer,
-                        emit: Emit::Float,
-                    });
-                    param_layer += 1;
                 }
-                Layer::Linear(lin) => {
-                    let len = len_for(param_layer, planned_len(&plan, i)?)?;
-                    if shape.len() != 2 || shape[1] != lin.input_features() {
-                        return Err(GeoError::Nn(geo_nn::NnError::ShapeMismatch {
-                            expected: format!("(N, {})", lin.input_features()),
-                            actual: shape.clone(),
-                        }));
-                    }
-                    let before = self.cache.fault_counters();
-                    let (prep, stats) = self.prepare_linear(lin, len, param_layer)?;
-                    stats.apply(telemetry.layer(param_layer as usize));
-                    record_prepare_faults(
-                        &self.cache,
-                        param_layer,
-                        before,
-                        &mut telemetry,
-                        &mut resilience,
-                    );
-                    shape = vec![shape[0], prep.outf];
-                    steps.push(PreparedStep::Linear {
-                        layer: prep,
-                        param_layer,
-                        emit: Emit::Float,
-                    });
-                    param_layer += 1;
-                }
-                Layer::BatchNorm2d(bn) => {
-                    let affine = BnAffine::prepare(bn, self.config.bn_bits)?;
-                    if shape.len() != 4 || shape[1] != affine.scales.len() {
-                        return Err(GeoError::Nn(geo_nn::NnError::ShapeMismatch {
-                            expected: format!("(N, {}, H, W)", affine.scales.len()),
-                            actual: shape.clone(),
-                        }));
-                    }
-                    steps.push(PreparedStep::BatchNorm { affine, tel_layer });
-                }
-                Layer::Relu(_) => steps.push(PreparedStep::Relu),
-                Layer::AvgPool2d(_) | Layer::MaxPool2d(_) => {
-                    let (n, c, h, w) = pool_shape(&shape)?;
-                    shape = vec![n, c, h / 2, w / 2];
-                    steps.push(if matches!(&layers[i], Layer::AvgPool2d(_)) {
-                        PreparedStep::AvgPool { tel_layer }
-                    } else {
-                        PreparedStep::MaxPool { tel_layer }
-                    });
-                }
-                Layer::Flatten(_) => {
-                    if shape.len() < 2 {
-                        return Err(GeoError::Nn(geo_nn::NnError::ShapeMismatch {
-                            expected: "at least 2-d".into(),
-                            actual: shape.clone(),
-                        }));
-                    }
-                    let rest: usize = shape[1..].iter().product();
-                    shape = vec![shape[0], rest];
-                    steps.push(PreparedStep::Flatten { tel_layer });
-                }
-            }
+                Layer::BatchNorm2d(bn) => PreparedStep::BatchNorm {
+                    affine: BnAffine::prepare(bn, self.config.bn_bits)?,
+                    tel_layer,
+                },
+                Layer::Relu(_) => PreparedStep::Relu,
+                Layer::AvgPool2d(_) => PreparedStep::AvgPool { tel_layer },
+                Layer::MaxPool2d(_) => PreparedStep::MaxPool { tel_layer },
+                Layer::Flatten(_) => PreparedStep::Flatten { tel_layer },
+            };
+            shape = step.output_shape(&shape)?;
+            steps.push(step);
             i += 1;
         }
         if fuse {
@@ -2234,21 +2111,7 @@ impl ScEngine {
         // holds `&self`, so it cannot grow the vector on first use. Near-
         // memory steps attribute to `tel_layer`, which can reach index 0
         // even in a network with no parametrized layers.
-        telemetry.ensure_layers(param_layer as usize);
-        if telemetry::enabled() {
-            let near_mem = steps
-                .iter()
-                .filter_map(|s| match s {
-                    PreparedStep::BatchNorm { tel_layer, .. }
-                    | PreparedStep::AvgPool { tel_layer }
-                    | PreparedStep::MaxPool { tel_layer }
-                    | PreparedStep::Flatten { tel_layer } => Some(*tel_layer + 1),
-                    _ => None,
-                })
-                .max()
-                .unwrap_or(0);
-            telemetry.ensure_layers(near_mem);
-        }
+        telemetry.ensure_layers(param_layer.max(1) as usize);
         Ok(PreparedModel {
             config: self.config,
             input_shape: input_shape.to_vec(),
@@ -2259,17 +2122,77 @@ impl ScEngine {
         })
     }
 
+    /// Phase 1 for one parametrized layer — the one per-layer prepare
+    /// every SC run goes through (whole-network prepare, the training
+    /// loop, single-layer runs): checks the activation `shape` against
+    /// the layer, prepares it at stream length `len`, and folds its
+    /// resolve counters and the faults its table builds injected into
+    /// `telemetry`/`resilience` under `param_layer`. Returns the layer's
+    /// unfused step, emitting f32.
+    fn prepare_layer(
+        &mut self,
+        layer: &Layer,
+        shape: &[usize],
+        len: usize,
+        param_layer: u32,
+        telemetry: &mut EngineTelemetry,
+        resilience: &mut ResilienceReport,
+    ) -> Result<PreparedStep, GeoError> {
+        let before = self.cache.fault_counters();
+        let (emit, tel) = (Emit::Float, telemetry.layer(param_layer as usize));
+        let step = match layer {
+            Layer::Conv2d(conv) => {
+                if shape.len() != 4 || shape[1] != conv.cin() {
+                    return Err(shape_mismatch(format!("(N, {}, H, W)", conv.cin()), shape));
+                }
+                let hw = (shape[2], shape[3]);
+                PreparedStep::Conv {
+                    layer: self.prepare_conv(conv, hw, len, param_layer, tel)?,
+                    param_layer,
+                    emit,
+                }
+            }
+            Layer::Linear(lin) => {
+                if shape.len() != 2 || shape[1] != lin.input_features() {
+                    let expected = format!("(N, {})", lin.input_features());
+                    return Err(shape_mismatch(expected, shape));
+                }
+                PreparedStep::Linear {
+                    layer: self.prepare_linear(lin, len, param_layer, tel)?,
+                    param_layer,
+                    emit,
+                }
+            }
+            other => {
+                return Err(GeoError::Internal(format!(
+                    "stream plan assigned a length to non-parametrized layer {}",
+                    other.kind()
+                )))
+            }
+        };
+        if self.cache.fault_model().is_some() {
+            let delta = self.cache.fault_counters().delta_since(&before);
+            if telemetry::enabled() {
+                let tel = telemetry.layer(param_layer as usize);
+                tel.fault_events.add(delta.total());
+            }
+            resilience.record(param_layer, delta);
+        }
+        Ok(step)
+    }
+
     /// Runs the SC datapath of the single parametrized layer at
     /// `layer_index` on the given activations — the building block of
     /// per-layer error analysis ([`crate::analyze`]).
     ///
-    /// Uses the same stream plan, seeds, and tables as a full forward, so
-    /// the result is bit-identical to that layer's contribution in
-    /// [`ScEngine::forward`]. Single-layer runs are *unfused by
-    /// construction* — they call the conv/linear datapath directly and
-    /// never build a `PreparedStep` sequence, so conv→pool fusion and
-    /// level chaining cannot apply and per-layer oracle comparisons see
-    /// the layer's raw full-resolution output.
+    /// Uses the same stream plan, seeds, and tables as a full forward, and
+    /// the same per-layer prepare and step executor, so the result is
+    /// bit-identical to that layer's contribution in
+    /// [`ScEngine::forward`]. Only this layer is prepared — a
+    /// whole-network prepare per call would redo every other layer's
+    /// resolve — and its step is the *unfused* one by construction, so
+    /// conv→pool fusion and level chaining cannot apply and per-layer
+    /// oracle comparisons see the layer's raw full-resolution output.
     ///
     /// # Errors
     ///
@@ -2292,33 +2215,26 @@ impl ScEngine {
             .iter()
             .filter(|l| matches!(l, Layer::Conv2d(_) | Layer::Linear(_)))
             .count() as u32;
-        let before = self.cache.fault_counters();
-        // Layers are borrowed, not cloned: the resolve phase only reads
-        // weights, so nothing here needs `&mut` access to the model.
-        let out = match &model.layers()[layer_index] {
-            Layer::Conv2d(conv) => self.sc_conv(conv, input, len, param_layer),
-            Layer::Linear(lin) => self.sc_linear(lin, input, len, param_layer),
-            other => {
-                return Err(GeoError::Internal(format!(
-                    "stream plan assigned a length to non-parametrized layer {}",
-                    other.kind()
-                )))
-            }
-        };
-        self.record_layer_faults(param_layer, before);
-        out
-    }
-
-    /// Attributes faults injected since the `before` snapshot to
-    /// `param_layer`.
-    fn record_layer_faults(&mut self, param_layer: u32, before: FaultCounters) {
-        record_prepare_faults(
-            &self.cache,
+        let mut telemetry = EngineTelemetry::default();
+        let mut resilience = ResilienceReport::default();
+        let step = self.prepare_layer(
+            &model.layers()[layer_index],
+            input.shape(),
+            len,
             param_layer,
-            before,
-            &mut self.telemetry,
-            &mut self.resilience,
-        );
+            &mut telemetry,
+            &mut resilience,
+        )?;
+        let out = step
+            .run(
+                Flow::Float(input.clone()),
+                &telemetry,
+                self.reference_kernels,
+            )?
+            .into_float("single-layer output")?;
+        self.telemetry.absorb(&telemetry);
+        self.resilience.absorb(&resilience);
+        Ok(out)
     }
 
     fn layer_seed(&self, param_layer: u32) -> u32 {
@@ -2327,12 +2243,7 @@ impl ScEngine {
             .wrapping_add(param_layer.wrapping_mul(LAYER_SEED_STRIDE))
     }
 
-    fn lane_table(
-        &mut self,
-        width: u8,
-        len: usize,
-        spec: geo_sc::RngSpec,
-    ) -> Result<LaneTable, GeoError> {
+    fn lane_table(&mut self, width: u8, len: usize, spec: RngSpec) -> Result<LaneTable, GeoError> {
         Ok(if self.config.progressive {
             LaneTable::Progressive(self.cache.progressive(self.config.rng, width, len, spec)?)
         } else {
@@ -2355,70 +2266,20 @@ impl ScEngine {
         }
     }
 
-    /// Stochastic convolution of one layer: serial resolve, then
-    /// per-request quantize + parallel compute (the prepared pipeline run
-    /// end to end for a single call).
-    fn sc_conv(
-        &mut self,
-        conv: &Conv2d,
-        input: &Tensor,
-        len: usize,
-        param_layer: u32,
-    ) -> Result<Tensor, GeoError> {
-        let resolved = self.resolve_conv(conv, input, len, param_layer)?;
-        let reference = self.reference_kernels;
-        let tel = self.telemetry.layer(param_layer as usize);
-        let sw = Stopwatch::start();
-        let batch = resolved.quantize_acts(input)?;
-        if telemetry::enabled() {
-            tel.add_phase_ns(Phase::Convert, sw.elapsed_ns());
-        }
-        let sw = Stopwatch::start();
-        let out = if reference {
-            resolved.compute_reference(&batch, tel)
-        } else {
-            Ok(resolved.compute(&batch, tel))
-        };
-        if telemetry::enabled() {
-            tel.add_phase_ns(Phase::Compute, sw.elapsed_ns());
-        }
-        out
-    }
-
-    /// Single-call form of [`Self::prepare_conv`]: checks the input's
-    /// shape, prepares the layer, and folds the resolve counters into the
-    /// engine's own telemetry.
-    fn resolve_conv(
-        &mut self,
-        conv: &Conv2d,
-        input: &Tensor,
-        len: usize,
-        param_layer: u32,
-    ) -> Result<PreparedConv, GeoError> {
-        let s = input.shape();
-        if s.len() != 4 || s[1] != conv.cin() {
-            return Err(GeoError::Nn(geo_nn::NnError::ShapeMismatch {
-                expected: format!("(N, {}, H, W)", conv.cin()),
-                actual: s.to_vec(),
-            }));
-        }
-        let (prepared, stats) = self.prepare_conv(conv, (s[2], s[3]), len, param_layer)?;
-        stats.apply(self.telemetry.layer(param_layer as usize));
-        Ok(prepared)
-    }
-
     /// Phase 1 for a convolution: builds/fetches every lane table through
     /// the serial [`TableCache`] (in a fixed order, so fault injection is
-    /// deterministic) and quantizes every *weight* operand. Nothing here
-    /// reads the activations — the produced [`PreparedConv`] is reusable
-    /// across requests at the traced `(h, w)` geometry.
+    /// deterministic) and quantizes every *weight* operand, recording the
+    /// resolve's counters into `tel`. Nothing here reads the activations —
+    /// the produced [`PreparedConv`] is reusable across requests at the
+    /// traced `(h, w)` geometry.
     fn prepare_conv(
         &mut self,
         conv: &Conv2d,
         (h, w): (usize, usize),
         len: usize,
         param_layer: u32,
-    ) -> Result<(PreparedConv, ResolveStats), GeoError> {
+        tel: &LayerCounters,
+    ) -> Result<PreparedConv, GeoError> {
         let sw_resolve = Stopwatch::start();
         let (hits0, misses0) = self.cache.lookup_counts();
         let cin = conv.cin();
@@ -2505,104 +2366,54 @@ impl ScEngine {
             pos_ky.push((rem / k) as u32);
             pos_kx.push((rem % k) as u32);
         }
-        let stats = ResolveStats {
-            resolve_ns: sw_resolve.elapsed_ns(),
-            table_hits: hits - hits0,
-            table_misses: misses - misses0,
-            compacted_lanes: compact.lane.len() as u64,
-            skipped_zero_lanes: (wrefs.len() - compact.lane.len()) as u64,
-        };
+        if telemetry::enabled() {
+            tel.add_phase_ns(Phase::Resolve, sw_resolve.elapsed_ns());
+            tel.table_hits.add(hits - hits0);
+            tel.table_misses.add(misses - misses0);
+            tel.compacted_lanes.add(compact.lane.len() as u64);
+            tel.skipped_zero_lanes
+                .add((wrefs.len() - compact.lane.len()) as u64);
+        }
         let scratch = ScratchPool::new(groups, words, compact.max_row_lanes(), volume * ow, ow);
-        Ok((
-            PreparedConv {
-                mode,
-                len,
-                words,
-                groups,
-                width,
-                progressive: self.config.progressive,
-                cin,
-                h,
-                w,
-                cout,
-                k,
-                stride,
-                pad,
-                oh,
-                ow,
-                volume,
-                act_tables,
-                wrefs,
-                act_flat,
-                compact,
-                pos_ci,
-                pos_ky,
-                pos_kx,
-                pos_ao: act_off,
-                scratch,
-            },
-            stats,
-        ))
+        Ok(PreparedConv {
+            mode,
+            len,
+            words,
+            groups,
+            width,
+            progressive: self.config.progressive,
+            cin,
+            h,
+            w,
+            cout,
+            k,
+            stride,
+            pad,
+            oh,
+            ow,
+            volume,
+            act_tables,
+            wrefs,
+            act_flat,
+            compact,
+            pos_ci,
+            pos_ky,
+            pos_kx,
+            pos_ao: act_off,
+            scratch,
+        })
     }
 
-    /// Stochastic fully-connected layer: features map onto a pseudo-kernel
-    /// of width [`FC_BINARY_WIDTH`], so the accumulation split applies.
-    /// Serial resolve, parallel compute.
-    fn sc_linear(
-        &mut self,
-        lin: &Linear,
-        input: &Tensor,
-        len: usize,
-        param_layer: u32,
-    ) -> Result<Tensor, GeoError> {
-        let resolved = self.resolve_linear(lin, input, len, param_layer)?;
-        let reference = self.reference_kernels;
-        let tel = self.telemetry.layer(param_layer as usize);
-        let sw = Stopwatch::start();
-        let batch = resolved.quantize_acts(input)?;
-        if telemetry::enabled() {
-            tel.add_phase_ns(Phase::Convert, sw.elapsed_ns());
-        }
-        let sw = Stopwatch::start();
-        let out = if reference {
-            resolved.compute_reference(&batch, tel)
-        } else {
-            Ok(resolved.compute(&batch, tel))
-        };
-        if telemetry::enabled() {
-            tel.add_phase_ns(Phase::Compute, sw.elapsed_ns());
-        }
-        out
-    }
-
-    /// Single-call form of [`Self::prepare_linear`] (see
-    /// [`Self::resolve_conv`]).
-    fn resolve_linear(
-        &mut self,
-        lin: &Linear,
-        input: &Tensor,
-        len: usize,
-        param_layer: u32,
-    ) -> Result<PreparedLinear, GeoError> {
-        let s = input.shape();
-        if s.len() != 2 || s[1] != lin.input_features() {
-            return Err(GeoError::Nn(geo_nn::NnError::ShapeMismatch {
-                expected: format!("(N, {})", lin.input_features()),
-                actual: s.to_vec(),
-            }));
-        }
-        let (prepared, stats) = self.prepare_linear(lin, len, param_layer)?;
-        stats.apply(self.telemetry.layer(param_layer as usize));
-        Ok(prepared)
-    }
-
-    /// Phase 1 for a fully-connected layer (see [`Self::prepare_conv`]).
+    /// Phase 1 for a fully-connected layer (see [`Self::prepare_conv`]):
+    /// features map onto a pseudo-kernel of width [`FC_BINARY_WIDTH`], so
+    /// the accumulation split applies.
     fn prepare_linear(
         &mut self,
         lin: &Linear,
         len: usize,
         param_layer: u32,
-    ) -> Result<(PreparedLinear, ResolveStats), GeoError> {
+        tel: &LayerCounters,
+    ) -> Result<PreparedLinear, GeoError> {
         let sw_resolve = Stopwatch::start();
         let (hits0, misses0) = self.cache.lookup_counts();
         let features = lin.input_features();
@@ -2662,33 +2473,31 @@ impl ScEngine {
         }
         let compact = CompactKernel::build(&wrefs, &wtables, outf, features, words, 1);
         drop(wtables);
-        let stats = ResolveStats {
-            resolve_ns: sw_resolve.elapsed_ns(),
-            table_hits: hits - hits0,
-            table_misses: misses - misses0,
-            compacted_lanes: compact.lane.len() as u64,
-            skipped_zero_lanes: (wrefs.len() - compact.lane.len()) as u64,
-        };
+        if telemetry::enabled() {
+            tel.add_phase_ns(Phase::Resolve, sw_resolve.elapsed_ns());
+            tel.table_hits.add(hits - hits0);
+            tel.table_misses.add(misses - misses0);
+            tel.compacted_lanes.add(compact.lane.len() as u64);
+            tel.skipped_zero_lanes
+                .add((wrefs.len() - compact.lane.len()) as u64);
+        }
         let scratch = ScratchPool::new(groups, words, compact.max_row_lanes(), features, 1);
-        Ok((
-            PreparedLinear {
-                mode,
-                len,
-                words,
-                groups,
-                width,
-                progressive: self.config.progressive,
-                features,
-                outf,
-                act_tables,
-                wrefs,
-                act_flat,
-                compact,
-                pos_ao: act_off,
-                scratch,
-            },
-            stats,
-        ))
+        Ok(PreparedLinear {
+            mode,
+            len,
+            words,
+            groups,
+            width,
+            progressive: self.config.progressive,
+            features,
+            outf,
+            act_tables,
+            wrefs,
+            act_flat,
+            compact,
+            pos_ao: act_off,
+            scratch,
+        })
     }
 }
 
@@ -2989,55 +2798,6 @@ mod reference {
     }
 }
 
-/// Plain counters produced by the serial prepare phase. Returned by value
-/// (rather than written into `self.telemetry` in place) so the caller can
-/// fold them into whichever telemetry block owns the layer: the engine's
-/// for direct forwards, a [`PreparedModel`]'s for prepare-once serving.
-#[derive(Default)]
-struct ResolveStats {
-    resolve_ns: u64,
-    table_hits: u64,
-    table_misses: u64,
-    compacted_lanes: u64,
-    skipped_zero_lanes: u64,
-}
-
-impl ResolveStats {
-    fn apply(&self, tel: &LayerCounters) {
-        if !telemetry::enabled() {
-            return;
-        }
-        tel.add_phase_ns(Phase::Resolve, self.resolve_ns);
-        tel.table_hits.add(self.table_hits);
-        tel.table_misses.add(self.table_misses);
-        tel.compacted_lanes.add(self.compacted_lanes);
-        tel.skipped_zero_lanes.add(self.skipped_zero_lanes);
-    }
-}
-
-/// Attributes faults injected since the `before` snapshot to
-/// `param_layer`, into caller-supplied reports (the prepare loop
-/// accumulates locally and absorbs into the engine afterwards).
-fn record_prepare_faults(
-    cache: &TableCache,
-    param_layer: u32,
-    before: FaultCounters,
-    telemetry_block: &mut EngineTelemetry,
-    resilience: &mut ResilienceReport,
-) {
-    if cache.fault_model().is_none() {
-        return;
-    }
-    let delta = cache.fault_counters().delta_since(&before);
-    if telemetry::enabled() {
-        telemetry_block
-            .layer(param_layer as usize)
-            .fault_events
-            .add(delta.total());
-    }
-    resilience.record(param_layer, delta);
-}
-
 /// Inference-time batch normalization, prepared once: the folded
 /// per-channel affine quantized to `bits` (GEO's near-memory 8-bit BN),
 /// or exact when `bits` is `None`.
@@ -3067,14 +2827,21 @@ impl BnAffine {
         Ok(BnAffine { scales, shifts })
     }
 
+    /// Rejects activations that are not `(N, C, H, W)` with this affine's
+    /// channel count.
+    fn check(&self, s: &[usize]) -> Result<(), GeoError> {
+        if s.len() != 4 || s[1] != self.scales.len() {
+            return Err(shape_mismatch(
+                format!("(N, {}, H, W)", self.scales.len()),
+                s,
+            ));
+        }
+        Ok(())
+    }
+
     fn apply(&self, x: &Tensor) -> Result<Tensor, GeoError> {
         let s = x.shape();
-        if s.len() != 4 || s[1] != self.scales.len() {
-            return Err(GeoError::Nn(geo_nn::NnError::ShapeMismatch {
-                expected: format!("(N, {}, H, W)", self.scales.len()),
-                actual: s.to_vec(),
-            }));
-        }
+        self.check(s)?;
         let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
         let mut out = Tensor::zeros(s);
         for b in 0..n {
@@ -3115,18 +2882,32 @@ fn max_pool_eval(x: &Tensor) -> Result<Tensor, GeoError> {
     geo_nn::max_pool2x2(x).map_err(GeoError::Nn)
 }
 
-/// Flatten to `(N, rest)`, replicating `geo_nn::Flatten::forward`.
-fn flatten_eval(x: &Tensor) -> Result<Tensor, GeoError> {
-    let s = x.shape();
+/// The `(N, rest)` shape `geo_nn::Flatten::forward` produces, with its
+/// error for inputs below 2-d.
+fn flatten_shape(s: &[usize]) -> Result<Vec<usize>, GeoError> {
     if s.len() < 2 {
-        return Err(GeoError::Nn(geo_nn::NnError::ShapeMismatch {
-            expected: "at least 2-d".into(),
-            actual: s.to_vec(),
-        }));
+        return Err(shape_mismatch("at least 2-d".into(), s));
     }
-    let n = s[0];
-    let rest: usize = s[1..].iter().product();
-    x.clone().reshape(vec![n, rest]).map_err(GeoError::Nn)
+    Ok(vec![s[0], s[1..].iter().product()])
+}
+
+/// `geo_nn`'s shape error, lifted into [`GeoError`].
+fn shape_mismatch(expected: String, actual: &[usize]) -> GeoError {
+    GeoError::Nn(geo_nn::NnError::ShapeMismatch {
+        expected,
+        actual: actual.to_vec(),
+    })
+}
+
+/// Runs `f`, adding its wall-clock time to `phase` of `tel` (the timing
+/// compiles away without the `telemetry` feature).
+fn timed<T>(tel: &LayerCounters, phase: Phase, f: impl FnOnce() -> T) -> T {
+    let sw = Stopwatch::start();
+    let out = f();
+    if telemetry::enabled() {
+        tel.add_phase_ns(phase, sw.elapsed_ns());
+    }
+    out
 }
 
 /// Scans a fusible `[BatchNorm2d] → [ReLU] → AvgPool2d` run starting at
@@ -3239,6 +3020,151 @@ enum PreparedStep {
     },
 }
 
+impl PreparedStep {
+    /// The activation shape this step produces from `s` — the
+    /// prepare-time shape trace, raising the errors the step's forward
+    /// would.
+    fn output_shape(&self, s: &[usize]) -> Result<Vec<usize>, GeoError> {
+        Ok(match self {
+            PreparedStep::Conv { layer, .. } => vec![s[0], layer.cout, layer.oh, layer.ow],
+            PreparedStep::ConvPooled { layer, bn, .. } => {
+                if let Some(bn) = bn {
+                    bn.check(&[s[0], layer.cout, layer.oh, layer.ow])?;
+                }
+                vec![s[0], layer.cout, layer.oh / 2, layer.ow / 2]
+            }
+            PreparedStep::Linear { layer, .. } => vec![s[0], layer.outf],
+            PreparedStep::BatchNorm { affine, .. } => {
+                affine.check(s)?;
+                s.to_vec()
+            }
+            PreparedStep::Relu => s.to_vec(),
+            PreparedStep::AvgPool { .. } | PreparedStep::MaxPool { .. } => {
+                let (n, c, h, w) = pool_shape(s)?;
+                vec![n, c, h / 2, w / 2]
+            }
+            PreparedStep::Flatten { .. } => flatten_shape(s)?,
+        })
+    }
+
+    /// Executes this step on one activation flow — the one way the engine
+    /// runs an SC layer, whether [`PreparedModel::forward`] folds it over
+    /// a whole network or the training loop and
+    /// [`ScEngine::forward_single_layer`] run one layer's unfused step.
+    /// Pure compute against immutable prepared state: counters and phase
+    /// times go to `telemetry`'s blocks (pre-sized at prepare time), and
+    /// `reference` selects the pre-compaction kernels
+    /// ([`ScEngine::forward_reference`]).
+    fn run(
+        &self,
+        flow: Flow,
+        telemetry: &EngineTelemetry,
+        reference: bool,
+    ) -> Result<Flow, GeoError> {
+        let near_mem = |tel_layer: &usize| telemetry.layer_shared(*tel_layer);
+        Ok(match self {
+            PreparedStep::Conv {
+                layer,
+                param_layer,
+                emit,
+            } => {
+                let tel = telemetry.layer_shared(*param_layer as usize);
+                let batch = timed(tel, Phase::Convert, || layer.accept(flow))?;
+                timed(tel, Phase::Compute, || -> Result<_, GeoError> {
+                    Ok(if reference {
+                        // Reference models never level-chain (the chaining
+                        // pass is gated off), so `emit` is always `Float`.
+                        emit.apply(layer.compute_reference(&batch, tel)?)
+                    } else {
+                        layer.compute(&batch, tel, *emit)
+                    })
+                })?
+            }
+            PreparedStep::ConvPooled {
+                layer,
+                param_layer,
+                bn,
+                relu,
+                emit,
+            } => {
+                // Fusion is gated off for reference prepares
+                // (`ScEngine::forward_reference`), so the oracle always
+                // takes the unfused `Conv` + near-memory steps.
+                debug_assert!(!reference, "reference models never fuse");
+                let tel = telemetry.layer_shared(*param_layer as usize);
+                let batch = timed(tel, Phase::Convert, || layer.accept(flow))?;
+                timed(tel, Phase::Compute, || {
+                    let (poh, pow2) = (layer.oh / 2, layer.ow / 2);
+                    let tmp = layer.compute_pooled(&batch, bn.as_ref(), *relu, tel);
+                    if telemetry::enabled() {
+                        // §III-A skipped conversions, counted serially (one
+                        // add per pass) so the total is thread-invariant:
+                        // every full-res pixel beyond the pooled outputs.
+                        let skipped = batch.n * layer.cout * (layer.oh * layer.ow - poh * pow2);
+                        tel.conversions_skipped.add(skipped as u64);
+                    }
+                    layer.transpose_stage(&tmp, batch.n, poh, pow2, *emit)
+                })
+            }
+            PreparedStep::Linear {
+                layer,
+                param_layer,
+                emit,
+            } => {
+                let tel = telemetry.layer_shared(*param_layer as usize);
+                let batch = timed(tel, Phase::Convert, || layer.accept(flow))?;
+                timed(tel, Phase::Compute, || -> Result<_, GeoError> {
+                    Ok(if reference {
+                        emit.apply(layer.compute_reference(&batch, tel)?)
+                    } else {
+                        layer.compute(&batch, tel, *emit)
+                    })
+                })?
+            }
+            PreparedStep::BatchNorm { affine, tel_layer } => {
+                let x = flow.into_float("batch norm")?;
+                Flow::Float(timed(near_mem(tel_layer), Phase::NearMem, || {
+                    affine.apply(&x)
+                })?)
+            }
+            // ReLU, then saturate at 1.0: unipolar streams cannot carry
+            // more (the straight-through clamp SC training learns around).
+            // On a chained level flow this is a no-op: `act_level` already
+            // clamps to [0, 1], so `act_level(clamp(v)) == act_level(v)`.
+            PreparedStep::Relu => match flow {
+                Flow::Float(x) => Flow::Float(x.map(|v| v.clamp(0.0, 1.0))),
+                levels => levels,
+            },
+            PreparedStep::AvgPool { tel_layer } => {
+                let x = flow.into_float("average pool")?;
+                Flow::Float(timed(near_mem(tel_layer), Phase::NearMem, || {
+                    avg_pool_eval(&x)
+                })?)
+            }
+            PreparedStep::MaxPool { tel_layer } => {
+                let x = flow.into_float("max pool")?;
+                Flow::Float(timed(near_mem(tel_layer), Phase::NearMem, || {
+                    max_pool_eval(&x)
+                })?)
+            }
+            PreparedStep::Flatten { tel_layer } => {
+                timed(near_mem(tel_layer), Phase::NearMem, || match flow {
+                    Flow::Float(x) => {
+                        let shape = flatten_shape(x.shape())?;
+                        x.reshape(shape).map(Flow::Float).map_err(GeoError::Nn)
+                    }
+                    // Levels carry their logical shape: flattening is a
+                    // metadata reshape, no data pass at all.
+                    Flow::Levels(mut lt) => {
+                        lt.shape = flatten_shape(&lt.shape)?;
+                        Ok(Flow::Levels(lt))
+                    }
+                })?
+            }
+        })
+    }
+}
+
 /// A network compiled once for serving: every input-independent resolve
 /// product of every layer, immutable and `Arc`-shareable across threads
 /// and requests.
@@ -3333,167 +3259,15 @@ impl PreparedModel {
     /// against the prepared shape) and substrate errors.
     pub fn forward(&self, input: &Tensor) -> Result<Tensor, GeoError> {
         self.telemetry.passes.incr();
-        let mut flow = Flow::Float(input.clone());
-        for step in &self.steps {
-            match step {
-                PreparedStep::Conv {
-                    layer,
-                    param_layer,
-                    emit,
-                } => {
-                    let tel = self.telemetry.layer_shared(*param_layer as usize);
-                    let sw = Stopwatch::start();
-                    let batch = layer.accept(flow)?;
-                    if telemetry::enabled() {
-                        tel.add_phase_ns(Phase::Convert, sw.elapsed_ns());
-                    }
-                    let sw = Stopwatch::start();
-                    flow = if self.reference {
-                        // Reference models never level-chain (the chaining
-                        // pass is gated off), so `emit` is always `Float`.
-                        debug_assert_eq!(*emit, Emit::Float);
-                        Flow::Float(layer.compute_reference(&batch, tel)?)
-                    } else {
-                        match *emit {
-                            Emit::Float => Flow::Float(layer.compute(&batch, tel)),
-                            Emit::Levels { progressive, width } => {
-                                Flow::Levels(layer.compute_levels(&batch, tel, progressive, width))
-                            }
-                        }
-                    };
-                    if telemetry::enabled() {
-                        tel.add_phase_ns(Phase::Compute, sw.elapsed_ns());
-                    }
-                }
-                PreparedStep::ConvPooled {
-                    layer,
-                    param_layer,
-                    bn,
-                    relu,
-                    emit,
-                } => {
-                    // Fusion is gated off for reference prepares
-                    // (`ScEngine::forward_reference`), so the oracle always
-                    // takes the unfused `Conv` + near-memory steps.
-                    debug_assert!(!self.reference, "reference models never fuse");
-                    let tel = self.telemetry.layer_shared(*param_layer as usize);
-                    let sw = Stopwatch::start();
-                    let batch = layer.accept(flow)?;
-                    if telemetry::enabled() {
-                        tel.add_phase_ns(Phase::Convert, sw.elapsed_ns());
-                    }
-                    let sw = Stopwatch::start();
-                    let (poh, pow2) = (layer.oh / 2, layer.ow / 2);
-                    let tmp = layer.compute_pooled(&batch, bn.as_ref(), *relu, tel);
-                    if telemetry::enabled() {
-                        // §III-A skipped conversions, counted serially (one
-                        // add per pass) so the total is thread-invariant:
-                        // every full-res pixel beyond the pooled outputs.
-                        let skipped = batch.n * layer.cout * (layer.oh * layer.ow - poh * pow2);
-                        tel.conversions_skipped.add(skipped as u64);
-                    }
-                    flow = match *emit {
-                        Emit::Float => Flow::Float(layer.transpose_stage(&tmp, batch.n, poh, pow2)),
-                        Emit::Levels { progressive, width } => {
-                            Flow::Levels(layer.transpose_stage_levels(
-                                &tmp,
-                                batch.n,
-                                poh,
-                                pow2,
-                                progressive,
-                                width,
-                            ))
-                        }
-                    };
-                    if telemetry::enabled() {
-                        tel.add_phase_ns(Phase::Compute, sw.elapsed_ns());
-                    }
-                }
-                PreparedStep::Linear {
-                    layer,
-                    param_layer,
-                    emit,
-                } => {
-                    let tel = self.telemetry.layer_shared(*param_layer as usize);
-                    let sw = Stopwatch::start();
-                    let batch = layer.accept(flow)?;
-                    if telemetry::enabled() {
-                        tel.add_phase_ns(Phase::Convert, sw.elapsed_ns());
-                    }
-                    let sw = Stopwatch::start();
-                    flow = if self.reference {
-                        debug_assert_eq!(*emit, Emit::Float);
-                        Flow::Float(layer.compute_reference(&batch, tel)?)
-                    } else {
-                        match *emit {
-                            Emit::Float => Flow::Float(layer.compute(&batch, tel)),
-                            Emit::Levels { progressive, width } => {
-                                Flow::Levels(layer.compute_levels(&batch, tel, progressive, width))
-                            }
-                        }
-                    };
-                    if telemetry::enabled() {
-                        tel.add_phase_ns(Phase::Compute, sw.elapsed_ns());
-                    }
-                }
-                PreparedStep::BatchNorm { affine, tel_layer } => {
-                    let sw = Stopwatch::start();
-                    flow = Flow::Float(affine.apply(&flow.into_float("batch norm")?)?);
-                    self.flush_near_mem(*tel_layer, sw);
-                }
-                PreparedStep::Relu => {
-                    // ReLU, then saturate at 1.0: unipolar streams cannot
-                    // carry more (the straight-through clamp SC training
-                    // learns around). On a chained level flow this is a
-                    // no-op: `act_level` already clamps to [0, 1], so
-                    // `act_level(clamp(v)) == act_level(v)`.
-                    if let Flow::Float(x) = flow {
-                        flow = Flow::Float(x.map(|v| v.clamp(0.0, 1.0)));
-                    }
-                }
-                PreparedStep::AvgPool { tel_layer } => {
-                    let sw = Stopwatch::start();
-                    flow = Flow::Float(avg_pool_eval(&flow.into_float("average pool")?)?);
-                    self.flush_near_mem(*tel_layer, sw);
-                }
-                PreparedStep::MaxPool { tel_layer } => {
-                    let sw = Stopwatch::start();
-                    flow = Flow::Float(max_pool_eval(&flow.into_float("max pool")?)?);
-                    self.flush_near_mem(*tel_layer, sw);
-                }
-                PreparedStep::Flatten { tel_layer } => {
-                    let sw = Stopwatch::start();
-                    flow = match flow {
-                        Flow::Float(x) => Flow::Float(flatten_eval(&x)?),
-                        // Levels carry their logical shape: flattening is
-                        // a metadata reshape, no data pass at all.
-                        Flow::Levels(mut lt) => {
-                            if lt.shape.len() < 2 {
-                                return Err(GeoError::Nn(geo_nn::NnError::ShapeMismatch {
-                                    expected: "at least 2-d".into(),
-                                    actual: lt.shape.clone(),
-                                }));
-                            }
-                            let rest: usize = lt.shape[1..].iter().product();
-                            lt.shape = vec![lt.shape[0], rest];
-                            Flow::Levels(lt)
-                        }
-                    };
-                    self.flush_near_mem(*tel_layer, sw);
-                }
-            }
-        }
-        // The chaining pass only assigns `Levels` when a downstream SC
-        // consumer exists, so the network output is always a float tensor.
-        flow.into_float("network output")
-    }
-
-    fn flush_near_mem(&self, tel_layer: usize, sw: Stopwatch) {
-        if telemetry::enabled() {
-            self.telemetry
-                .layer_shared(tel_layer)
-                .add_phase_ns(Phase::NearMem, sw.elapsed_ns());
-        }
+        self.steps
+            .iter()
+            .try_fold(Flow::Float(input.clone()), |flow, step| {
+                step.run(flow, &self.telemetry, self.reference)
+            })?
+            // The chaining pass only assigns `Levels` when a downstream SC
+            // consumer exists, so the network output is always a float
+            // tensor.
+            .into_float("network output")
     }
 }
 
@@ -3505,6 +3279,21 @@ mod tests {
 
     fn engine(cfg: GeoConfig) -> ScEngine {
         ScEngine::new(cfg).unwrap()
+    }
+
+    /// Prepares one layer at stream length 32 through the per-layer
+    /// prepare every SC run uses.
+    fn prepare_one(eng: &mut ScEngine, layer: Layer, shape: &[usize]) -> PreparedStep {
+        let (mut tel, mut res) = (EngineTelemetry::default(), ResilienceReport::default());
+        eng.prepare_layer(&layer, shape, 32, 0, &mut tel, &mut res)
+            .unwrap()
+    }
+
+    fn prepare_conv_one(eng: &mut ScEngine, conv: &geo_nn::Conv2d, x: &Tensor) -> PreparedConv {
+        match prepare_one(eng, Layer::Conv2d(conv.clone()), x.shape()) {
+            PreparedStep::Conv { layer, .. } => layer,
+            _ => unreachable!("a conv layer prepares to a conv step"),
+        }
     }
 
     #[test]
@@ -3704,7 +3493,7 @@ mod tests {
         let conv = geo_nn::Conv2d::new(2, 3, 3, 1, 1, false, &mut rng);
         let x = Tensor::full(&[1, 2, 5, 5], 0.5);
         let mut eng = engine(GeoConfig::geo(32, 32));
-        let rc = eng.resolve_conv(&conv, &x, 32, 0).unwrap();
+        let rc = prepare_conv_one(&mut eng, &conv, &x);
         let k = conv.kernel();
         for (p, &lane) in rc.compact.lane.iter().enumerate() {
             assert_eq!(rc.compact.aoff[p] as usize, lane * rc.ow);
@@ -3716,7 +3505,11 @@ mod tests {
         }
         let lin = geo_nn::Linear::new(12, 4, &mut rng);
         let xl = Tensor::full(&[2, 12], 0.5);
-        let rl = eng.resolve_linear(&lin, &xl, 32, 0).unwrap();
+        let PreparedStep::Linear { layer: rl, .. } =
+            prepare_one(&mut eng, Layer::Linear(lin), xl.shape())
+        else {
+            unreachable!("a linear layer prepares to a linear step")
+        };
         assert_eq!(rl.pos_ao.len(), rl.features);
         for (p, &lane) in rl.compact.lane.iter().enumerate() {
             assert_eq!(rl.compact.aoff[p] as usize, lane);
@@ -3780,7 +3573,7 @@ mod tests {
         // giving this test an independent source of truth for the packed
         // position-major layout.
         eng.reference_kernels = true;
-        let resolved = eng.resolve_conv(&conv, &x, 32, 0).unwrap();
+        let resolved = prepare_conv_one(&mut eng, &conv, &x);
         let ck = &resolved.compact;
         let words = resolved.words;
         let nonzero: usize = resolved.wrefs.iter().filter(|w| !w.is_zero()).count();

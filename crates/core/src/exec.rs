@@ -9,11 +9,12 @@
 //! then *executes* it, deriving every parametrized layer's stream length
 //! from the program's `GEN` instructions instead of re-planning them.
 //!
-//! Execution dispatches into the same resolve/compute split as
-//! [`ScEngine::forward`] (via the shared length-parameterized forward
-//! loop), so program-driven inference is **bit-identical to the direct
-//! engine path at every thread count** — the contract
-//! `crates/core/tests/program_equivalence.rs` enforces across all
+//! Execution dispatches into the same per-layer prepare and step
+//! executor as [`ScEngine::forward`] (via the shared length-parameterized
+//! forward loop), so program-driven inference and training are
+//! **bit-identical to the direct engine path at every thread count** —
+//! the contract `crates/core/tests/program_equivalence.rs` and
+//! `crates/core/tests/training_equivalence.rs` enforce across all
 //! accumulation and generation modes. Accuracy numbers (Table I) and
 //! cycle/energy numbers (Tables II–III) therefore come from one compiled
 //! program stream, not two independently maintained descriptions.
@@ -27,13 +28,18 @@
 use crate::config::GeoConfig;
 use crate::engine::ScEngine;
 use crate::error::GeoError;
+use crate::training::top1_accuracy;
 use geo_arch::compiler;
 use geo_arch::{AccelConfig, Instr, NetworkDesc, Program, ProgramArtifact};
 use geo_nn::datasets::Dataset;
-use geo_nn::loss::argmax_rows;
 use geo_nn::{Layer, Sequential, Tensor};
 
 /// Executes a compiled GEO [`Program`] on the functional SC datapath.
+///
+/// [`ProgramExecutor::forward`] (inference or SC-in-the-loop training)
+/// and [`ProgramExecutor::prepare`] run the engine's own datapath with
+/// stream lengths decoded from the program, after one shared check that
+/// the live model is the network the program was compiled for.
 ///
 /// # Examples
 ///
@@ -59,9 +65,10 @@ use geo_nn::{Layer, Sequential, Tensor};
 pub struct ProgramExecutor {
     engine: ScEngine,
     program: Program,
-    /// The network the program was validated against; `forward` re-traces
-    /// the live model against it so a program cannot silently run a
-    /// different network of coincidentally equal stream lengths.
+    /// The network the program was validated against; `forward` and
+    /// `prepare` re-trace the live model against it so a program cannot
+    /// silently run a different network of coincidentally equal stream
+    /// lengths.
     net: NetworkDesc,
     /// Stream length of each program layer, decoded from its `GEN`
     /// instructions (`cycles / 2` — split-unipolar runs both halves).
@@ -214,92 +221,69 @@ impl ProgramExecutor {
     /// Runs `model` under program control: each parametrized layer's
     /// stream length comes from the program's `GEN` cycles and is
     /// cross-checked against the engine's own stream plan, then the layer
-    /// dispatches into the shared resolve/compute datapath.
+    /// dispatches into the shared prepare/step datapath.
     ///
     /// Bit-identical to [`ScEngine::forward`] with the same `config` at
-    /// every thread count.
+    /// every thread count, in training and inference mode alike.
     ///
     /// # Errors
     ///
-    /// Returns [`GeoError::InvalidConfig`] if `model`'s parametrized
-    /// layer count differs from the program's, or if a program stream
-    /// length disagrees with the engine plan (the program was compiled
-    /// for different `{sp, s}` lengths); propagates datapath errors.
+    /// Returns [`GeoError::InvalidConfig`] if `model` does not match the
+    /// network the program was compiled for (parametrized layer count or
+    /// re-traced layer shapes; an input that is neither `[N, C, H, W]`
+    /// nor `[N, F]` cannot be traced and is rejected too), or if a
+    /// program stream length disagrees with the engine plan (the program
+    /// was compiled for different `{sp, s}` lengths); propagates datapath
+    /// errors.
     pub fn forward(
         &mut self,
         model: &mut Sequential,
         input: &Tensor,
         training: bool,
     ) -> Result<Tensor, GeoError> {
-        let params = model
-            .layers()
-            .iter()
-            .filter(|l| matches!(l, Layer::Conv2d(_) | Layer::Linear(_)))
-            .count();
-        if params != self.lens.len() {
-            return Err(GeoError::InvalidConfig(format!(
-                "model has {params} parametrized layers but program '{}' encodes {}",
-                self.program.name,
-                self.lens.len()
-            )));
-        }
-        // Re-trace the live model's compute shapes and hold them against
-        // the network the program was validated for: equal stream lengths
-        // are not enough to prove the program addresses *this* model.
-        if let [_, c, h, w] = *input.shape() {
-            let traced = NetworkDesc::from_model(&self.net.name, model, (c, h, w));
-            if traced.layers != self.net.layers {
-                return Err(GeoError::InvalidConfig(format!(
-                    "model shapes do not match network '{}' the program was compiled for",
-                    self.net.name
-                )));
-            }
-        }
-        let lens = &self.lens;
-        let name = &self.program.name;
+        self.check_model(model, input.shape())?;
+        let len_for = program_len(&self.program.name, &self.lens);
         self.engine
-            .forward_with_lens(model, input, training, |pl, planned| {
-                let len = lens.get(pl as usize).copied().ok_or_else(|| {
-                    GeoError::Internal(format!(
-                        "program '{name}' has no layer {pl} despite matching layer counts"
-                    ))
-                })?;
-                if len != planned {
-                    return Err(GeoError::InvalidConfig(format!(
-                        "program '{name}' runs layer {pl} at stream length {len}, \
-                         engine plan says {planned} — program compiled for different \
-                         {{sp, s}} lengths"
-                    )));
-                }
-                Ok(len)
-            })
+            .forward_with_lens(model, input, training, len_for)
     }
 
     /// Resolves `model` once under program control into an immutable
     /// [`PreparedModel`](crate::PreparedModel) — the program-path
-    /// analogue of [`ScEngine::prepare`]. Every parametrized layer's
-    /// stream length is decoded from the program's `GEN` instructions and
-    /// cross-checked against the engine plan exactly as
-    /// [`ProgramExecutor::forward`] does, so serving from the prepared
-    /// model stays bit-identical to program-driven forwards.
+    /// analogue of [`ScEngine::prepare`]. The model check and the
+    /// program-decoded stream lengths are exactly
+    /// [`ProgramExecutor::forward`]'s, so serving from the prepared model
+    /// stays bit-identical to program-driven forwards.
     ///
     /// Conv→pool fusion and level chaining (DESIGN.md §16) are inherited
     /// from the shared prepare loop: the compiled ISA is untouched (the
     /// compiler already models pooled layers via shorter `sp` streams
     /// and quartered writeback), and the tile-coverage/stream-length
-    /// validation above runs on the *program*, before fusion rewrites
-    /// the step sequence — so it is unchanged by the fused path.
+    /// validation runs on the *program*, before fusion rewrites the step
+    /// sequence — so it is unchanged by the fused path.
     ///
     /// # Errors
     ///
-    /// As [`ProgramExecutor::forward`]: layer-count mismatch, shape
-    /// re-trace mismatch, or stream-length disagreement between the
-    /// program and the engine plan; propagates resolve errors.
+    /// As [`ProgramExecutor::forward`]; propagates resolve errors.
     pub fn prepare(
         &mut self,
         model: &mut Sequential,
         input_shape: &[usize],
     ) -> Result<crate::PreparedModel, GeoError> {
+        self.check_model(model, input_shape)?;
+        model.set_training(false);
+        let mut len_for = program_len(&self.program.name, &self.lens);
+        self.engine
+            .prepare_with_lens(model, input_shape, &mut len_for)
+    }
+
+    /// The one model check [`ProgramExecutor::forward`] and
+    /// [`ProgramExecutor::prepare`] share. It holds the live `model`'s
+    /// parametrized-layer count and its compute shapes, re-traced from
+    /// `input_shape` (`[N, C, H, W]` as `(C, H, W)`, `[N, F]` as
+    /// `(F, 1, 1)`), against the network the program was validated for:
+    /// equal stream lengths are not enough to prove the program
+    /// addresses *this* model.
+    fn check_model(&self, model: &Sequential, input_shape: &[usize]) -> Result<(), GeoError> {
         let params = model
             .layers()
             .iter()
@@ -312,58 +296,60 @@ impl ProgramExecutor {
                 self.lens.len()
             )));
         }
-        if let [_, c, h, w] = *input_shape {
-            let traced = NetworkDesc::from_model(&self.net.name, model, (c, h, w));
-            if traced.layers != self.net.layers {
-                return Err(GeoError::InvalidConfig(format!(
-                    "model shapes do not match network '{}' the program was compiled for",
-                    self.net.name
-                )));
+        let traced = match *input_shape {
+            [_, c, h, w] => Some((c, h, w)),
+            // Flat features can only feed fully-connected layers (tracing
+            // a conv over a 1×1 map could underflow its output size).
+            [_, f] if !model.layers().iter().any(|l| matches!(l, Layer::Conv2d(_))) => {
+                Some((f, 1, 1))
             }
+            _ => None,
+        };
+        if !traced.is_some_and(|chw| {
+            NetworkDesc::from_model(&self.net.name, model, chw).layers == self.net.layers
+        }) {
+            return Err(GeoError::InvalidConfig(format!(
+                "model shapes for input {input_shape:?} do not match network '{}' \
+                 the program was compiled for",
+                self.net.name
+            )));
         }
-        model.set_training(false);
-        let lens = &self.lens;
-        let name = &self.program.name;
-        self.engine
-            .prepare_with_lens(model, input_shape, &mut |pl, planned| {
-                let len = lens.get(pl as usize).copied().ok_or_else(|| {
-                    GeoError::Internal(format!(
-                        "program '{name}' has no layer {pl} despite matching layer counts"
-                    ))
-                })?;
-                if len != planned {
-                    return Err(GeoError::InvalidConfig(format!(
-                        "program '{name}' runs layer {pl} at stream length {len}, \
-                         engine plan says {planned} — program compiled for different \
-                         {{sp, s}} lengths"
-                    )));
-                }
-                Ok(len)
-            })
+        Ok(())
     }
 
     /// Top-1 accuracy of program-driven inference on `dataset` — the
-    /// program-path analogue of [`crate::evaluate_sc`].
+    /// program-path analogue of [`crate::evaluate_sc`], sharing its
+    /// batching and scoring loop.
     ///
     /// # Errors
     ///
     /// Propagates [`ProgramExecutor::forward`] errors.
     pub fn evaluate(&mut self, model: &mut Sequential, dataset: &Dataset) -> Result<f32, GeoError> {
-        let mut correct = 0usize;
-        let batch = 32usize;
-        let mut i = 0;
-        while i < dataset.len() {
-            let n = batch.min(dataset.len() - i);
-            let (x, labels) = dataset.batch(i, n);
-            let logits = self.forward(model, &x, false)?;
-            for (pred, label) in argmax_rows(&logits).into_iter().zip(&labels) {
-                if pred == *label {
-                    correct += 1;
-                }
-            }
-            i += n;
+        top1_accuracy(dataset, |x| self.forward(model, x, false))
+    }
+}
+
+/// The stream-length source of program-driven runs: each parametrized
+/// layer's length decoded from the program's `GEN` instructions,
+/// cross-checked against the engine's own plan.
+fn program_len<'a>(
+    name: &'a str,
+    lens: &'a [usize],
+) -> impl FnMut(u32, usize) -> Result<usize, GeoError> + 'a {
+    move |pl, planned| {
+        let len = lens.get(pl as usize).copied().ok_or_else(|| {
+            GeoError::Internal(format!(
+                "program '{name}' has no layer {pl} despite matching layer counts"
+            ))
+        })?;
+        if len != planned {
+            return Err(GeoError::InvalidConfig(format!(
+                "program '{name}' runs layer {pl} at stream length {len}, \
+                 engine plan says {planned} — program compiled for different \
+                 {{sp, s}} lengths"
+            )));
         }
-        Ok(correct as f32 / dataset.len().max(1) as f32)
+        Ok(len)
     }
 }
 
@@ -591,6 +577,51 @@ mod tests {
             err.to_string().contains("do not match network"),
             "unexpected error: {err}"
         );
+    }
+
+    /// A `[N, F]` input must not skip the shape re-trace: a program for
+    /// one MLP refuses another with equal layer count and stream lengths,
+    /// in both `forward` and `prepare`.
+    #[test]
+    fn rejects_other_mlp_on_flat_inputs() {
+        use geo_nn::{Linear, Relu};
+        use rand::{rngs::StdRng, SeedableRng};
+        let mlp = |hidden: usize| {
+            let mut rng = StdRng::seed_from_u64(1);
+            Sequential::new(vec![
+                Layer::Linear(Linear::new(16, hidden, &mut rng)),
+                Layer::Relu(Relu::new()),
+                Layer::Linear(Linear::new(hidden, 4, &mut rng)),
+            ])
+        };
+        let (mut compiled_for, mut other) = (mlp(8), mlp(12));
+        let mut exec = ProgramExecutor::compile(
+            GeoConfig::geo(32, 64),
+            &AccelConfig::ulp_geo(32, 64),
+            &compiled_for,
+            (16, 1, 1),
+            "mlp",
+        )
+        .unwrap();
+        assert_eq!(exec.stream_lens(), &[64, 128]);
+        let x = Tensor::full(&[2, 16], 0.5);
+        assert_eq!(
+            exec.forward(&mut compiled_for, &x, false).unwrap().shape(),
+            &[2, 4]
+        );
+        let err = exec.forward(&mut other, &x, false).unwrap_err();
+        assert!(matches!(err, GeoError::InvalidConfig(_)), "{err}");
+        let err = exec.prepare(&mut other, x.shape()).err().unwrap();
+        assert!(matches!(err, GeoError::InvalidConfig(_)), "{err}");
+        // Inputs of any other rank cannot be traced at all, and flat
+        // features cannot feed a network with convolutions.
+        let err = exec.prepare(&mut compiled_for, &[2, 4, 4]).err().unwrap();
+        assert!(matches!(err, GeoError::InvalidConfig(_)), "{err}");
+        let (mut lenet, mut thumb) = thumb_exec();
+        let err = thumb
+            .forward(&mut lenet, &Tensor::full(&[1, 64], 0.5), false)
+            .unwrap_err();
+        assert!(matches!(err, GeoError::InvalidConfig(_)), "{err}");
     }
 
     #[test]

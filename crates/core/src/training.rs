@@ -13,7 +13,7 @@ use geo_nn::datasets::Dataset;
 use geo_nn::loss::{argmax_rows, softmax_cross_entropy};
 use geo_nn::optim::Optimizer;
 use geo_nn::train::TrainConfig;
-use geo_nn::Sequential;
+use geo_nn::{Sequential, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -115,13 +115,23 @@ pub fn evaluate_sc(
     model: &mut Sequential,
     dataset: &Dataset,
 ) -> Result<f32, GeoError> {
+    top1_accuracy(dataset, |x| engine.forward(model, x, false))
+}
+
+/// Top-1 accuracy of `forward`'s logits over `dataset`, in batches of
+/// 32 — the loop [`evaluate_sc`] and
+/// [`crate::ProgramExecutor::evaluate`] share.
+pub(crate) fn top1_accuracy(
+    dataset: &Dataset,
+    mut forward: impl FnMut(&Tensor) -> Result<Tensor, GeoError>,
+) -> Result<f32, GeoError> {
     let mut correct = 0usize;
     let batch = 32usize;
     let mut i = 0;
     while i < dataset.len() {
         let n = batch.min(dataset.len() - i);
         let (x, labels) = dataset.batch(i, n);
-        let logits = engine.forward(model, &x, false)?;
+        let logits = forward(&x)?;
         for (pred, label) in argmax_rows(&logits).into_iter().zip(&labels) {
             if pred == *label {
                 correct += 1;

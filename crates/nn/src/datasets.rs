@@ -9,10 +9,9 @@
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A labeled image dataset, `(N, C, H, W)` pixels in `[0, 1]`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
     /// Dataset name (e.g. `"svhn-like"`).
     pub name: String,
@@ -80,7 +79,7 @@ impl Dataset {
 }
 
 /// Parameters of a synthetic dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetSpec {
     /// Dataset name.
     pub name: String,

@@ -8,10 +8,9 @@
 
 use crate::error::NnError;
 use crate::tensor::{Param, Tensor};
-use serde::{Deserialize, Serialize};
 
 /// Per-channel batch normalization with learnable scale and shift.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BatchNorm2d {
     /// Learnable scale, `(C)`.
     pub gamma: Param,
@@ -27,7 +26,7 @@ pub struct BatchNorm2d {
     cache: Option<BnCache>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct BnCache {
     input: Tensor,
     mean: Vec<f32>,

@@ -3,13 +3,12 @@
 use crate::error::NnError;
 use crate::tensor::{Param, Tensor};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A 2-d convolution layer over `(N, C, H, W)` tensors.
 ///
 /// Weights are stored `(Cout, Cin, KH, KW)` — the `(Cin, H, W)` ordering the
 /// paper's partial-binary-accumulation discussion assumes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Conv2d {
     /// Kernel weights, `(Cout, Cin, KH, KW)`.
     pub weight: Param,

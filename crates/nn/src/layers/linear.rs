@@ -3,13 +3,12 @@
 use crate::error::NnError;
 use crate::tensor::{Param, Tensor};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A fully-connected layer over `(N, In)` tensors.
 ///
 /// GEO supports FC layers on the same MAC fabric (with underutilization,
 /// paper §III-A); the SC engine reuses this layer's weights directly.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Linear {
     /// Weights, `(Out, In)`.
     pub weight: Param,

@@ -17,10 +17,9 @@ pub use pool::{avg_pool2x2, max_pool2x2, pool2x2_shape, AvgPool2d, MaxPool2d};
 
 use crate::error::NnError;
 use crate::tensor::{Param, Tensor};
-use serde::{Deserialize, Serialize};
 
 /// Rectified linear unit.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Relu {
     mask: Option<Vec<bool>>,
 }
@@ -55,7 +54,7 @@ impl Relu {
 }
 
 /// Flattens `(N, C, H, W)` to `(N, C·H·W)` for the transition to FC layers.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Flatten {
     input_shape: Option<Vec<usize>>,
 }
@@ -97,7 +96,7 @@ impl Flatten {
 }
 
 /// A network layer: the closed set of layer kinds GEO accelerates.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 #[allow(clippy::large_enum_variant)]
 pub enum Layer {
     /// 2-d convolution.

@@ -7,7 +7,6 @@
 
 use crate::error::NnError;
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Shape contract shared by both 2×2 pools: 4-d with even spatial
 /// dimensions, returned unpacked.
@@ -85,7 +84,7 @@ pub fn max_pool2x2(input: &Tensor) -> Result<Tensor, NnError> {
 }
 
 /// 2×2 average pooling with stride 2 over `(N, C, H, W)` tensors.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AvgPool2d {
     input_shape: Option<Vec<usize>>,
 }
@@ -138,7 +137,7 @@ impl AvgPool2d {
 }
 
 /// 2×2 max pooling with stride 2 over `(N, C, H, W)` tensors.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MaxPool2d {
     input_shape: Option<Vec<usize>>,
     argmax: Vec<usize>,

@@ -2,10 +2,8 @@
 //! per-class accuracy, used by the experiment harnesses to inspect *where*
 //! SC error hurts.
 
-use serde::{Deserialize, Serialize};
-
 /// A square confusion matrix: `counts[actual][predicted]`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     classes: usize,
     counts: Vec<u32>,

@@ -3,7 +3,6 @@
 use crate::error::NnError;
 use crate::layers::Layer;
 use crate::tensor::{Param, Tensor};
-use serde::{Deserialize, Serialize};
 
 /// A feed-forward stack of [`Layer`]s.
 ///
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sequential {
     layers: Vec<Layer>,
 }

@@ -25,12 +25,11 @@ use crate::layers::{AvgPool2d, BatchNorm2d, Conv2d, Flatten, Layer, Linear, Relu
 use crate::model::Sequential;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// One entry of a [`ModelSpec`]: input channel/feature counts are derived
 /// from the running shape while building, so they cannot drift out of sync
 /// with the layers upstream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpecLayer {
     /// A square convolution followed by batch norm and ReLU (the repo's
     /// standard conv block; convolutions are bias-free, BN absorbs it).
@@ -68,7 +67,7 @@ pub enum SpecLayer {
 /// let model = spec.build(0).unwrap();
 /// assert_eq!(model.layers().len(), 13);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelSpec {
     /// Network name, e.g. `"CNN-4 (CIFAR-10)"`.
     pub name: String,

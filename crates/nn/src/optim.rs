@@ -2,10 +2,9 @@
 //! initial learning rate 2e-3).
 
 use crate::tensor::Param;
-use serde::{Deserialize, Serialize};
 
 /// Stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sgd {
     /// Learning rate.
     pub lr: f32,
@@ -46,7 +45,7 @@ impl Sgd {
 }
 
 /// Adam optimizer (Kingma & Ba) with bias correction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Adam {
     /// Learning rate.
     pub lr: f32,
@@ -107,7 +106,7 @@ impl Adam {
 
 /// Either optimizer behind one interface, so training loops can be generic
 /// without dynamic dispatch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Optimizer {
     /// SGD with momentum.
     Sgd(Sgd),

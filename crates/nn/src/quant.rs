@@ -6,10 +6,9 @@ use crate::error::NnError;
 use crate::layers::Layer;
 use crate::model::Sequential;
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Fixed-point quantization settings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuantConfig {
     /// Weight bit width.
     pub weight_bits: u8,

@@ -5,7 +5,6 @@
 
 use crate::error::NnError;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense row-major `f32` tensor.
@@ -22,7 +21,7 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,
@@ -213,7 +212,7 @@ impl fmt::Debug for Tensor {
 }
 
 /// A learnable parameter: value and accumulated gradient, kept in lockstep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Param {
     /// Current parameter value.
     pub value: Tensor,

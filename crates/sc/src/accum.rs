@@ -7,11 +7,9 @@
 //! Hosting it here keeps `geo-core` (numerics) and `geo-arch` (area,
 //! energy, ISA) on a shared vocabulary without depending on each other.
 
-use serde::{Deserialize, Serialize};
-
 /// Where the SC→fixed-point boundary sits in the accumulation tree
 /// (paper §III-B, Fig. 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Accumulation {
     /// Fully stochastic: OR over the whole `(Cin, H, W)` kernel
     /// (ACOUSTIC-style).

@@ -8,7 +8,6 @@
 //! handful of word operations.
 
 use crate::error::ScError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{BitAnd, BitOr, BitXor, Not};
 
@@ -27,7 +26,7 @@ use std::ops::{BitAnd, BitOr, BitXor, Not};
 /// assert_eq!(s.count_ones(), 3);
 /// assert!((s.value() - 0.375).abs() < 1e-12);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Bitstream {
     words: Vec<u64>,
     len: usize,

@@ -8,7 +8,6 @@
 //! double the specified value (paper §IV).
 
 use crate::bitstream::Bitstream;
-use serde::{Deserialize, Serialize};
 
 /// Quantizes `x ∈ [0, 1]` to a `bits`-bit comparator target in `0..=2^bits`.
 ///
@@ -38,7 +37,7 @@ pub fn dequantize_unipolar(q: u32, bits: u8) -> f32 {
 /// Exactly one of `pos`/`neg` is nonzero for any nonzero input, matching how
 /// split-unipolar hardware routes a weight to either the positive or the
 /// negative stream generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SplitValue {
     /// Positive magnitude, in `[0, 1]`.
     pub pos: f32,
@@ -79,7 +78,7 @@ impl From<f32> for SplitValue {
 
 /// A split-unipolar stream pair: the positive- and negative-part bitstreams
 /// of one signed operand or accumulation result.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SplitStream {
     /// Stream carrying the positive magnitude.
     pub pos: Bitstream,

@@ -11,7 +11,6 @@
 
 use crate::error::ScError;
 use crate::rng::StreamRng;
-use serde::{Deserialize, Serialize};
 
 /// Supported LFSR widths (stream lengths 8..=65536).
 pub const MIN_WIDTH: u8 = 3;
@@ -96,7 +95,7 @@ pub fn polynomial_count(width: u8) -> usize {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Lfsr {
     width: u8,
     tap_mask: u32,

@@ -14,7 +14,6 @@
 
 use crate::bitstream::Bitstream;
 use crate::rng::StreamRng;
-use serde::{Deserialize, Serialize};
 
 /// Bits available at generation start (the 2 MSBs).
 pub const INITIAL_BITS: u8 = 2;
@@ -100,7 +99,7 @@ pub fn effective_level(value8: u8, width: u8, cycle: u32) -> u32 {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProgressiveSng {
     value8: u8,
 }
@@ -142,7 +141,7 @@ impl ProgressiveSng {
 /// A shadow buffer sized for progressive generation holds only
 /// [`INITIAL_BITS`] of the next operand — ¼ the area a full-width shadow
 /// would need.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShadowBuffer {
     active: u8,
     active_bits: u8,

@@ -15,10 +15,9 @@
 use crate::error::ScError;
 use crate::lfsr::{polynomial_count, Lfsr};
 use crate::rng::{SobolRng, StreamRng, TrngRng};
-use serde::{Deserialize, Serialize};
 
 /// How aggressively weight-stream generators are shared within a layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SharingLevel {
     /// Every SNG has a unique seed.
     None,
@@ -38,7 +37,7 @@ impl SharingLevel {
 }
 
 /// Which random-number source drives the SNG comparators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RngKind {
     /// Deterministic maximal-length LFSR (GEO's choice).
     Lfsr,
@@ -68,7 +67,7 @@ impl RngKind {
 }
 
 /// A concrete generator identity: seed plus characteristic-polynomial index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RngSpec {
     /// Seed (folded onto the nonzero state space by LFSRs).
     pub seed: u32,
@@ -77,7 +76,7 @@ pub struct RngSpec {
 }
 
 /// Kernel dimensions of a convolution layer, `(Cout, Cin, H, W)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KernelDims {
     /// Output channels (number of kernels).
     pub cout: usize,
@@ -123,7 +122,7 @@ pub fn unique_generators(width: u8) -> usize {
 /// // ...but different positions get different generators.
 /// assert_ne!(plan.weight_spec(0, 2, 1, 1), plan.weight_spec(0, 2, 1, 2));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeedPlan {
     level: SharingLevel,
     width: u8,
