@@ -42,7 +42,6 @@ pub mod modules;
 mod network;
 pub mod perfsim;
 pub mod progressive_timing;
-pub mod report;
 pub mod tech;
 
 pub use geo_sc::telemetry;

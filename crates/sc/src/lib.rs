@@ -33,9 +33,7 @@
 
 mod accum;
 pub mod apc;
-pub mod bipolar;
 mod bitstream;
-pub mod deterministic;
 mod encode;
 mod error;
 pub mod fault;
