@@ -64,10 +64,11 @@
 //! with their stream words contiguous in memory, a once-per-row `iy`
 //! resolution, an interior/border split of each output row, and a
 //! streaming one-level APC accumulator that replaces per-MAC heap
-//! allocations. The pre-compaction kernels are retained verbatim (the
-//! [`reference`] module, reachable via [`ScEngine::forward_reference`])
-//! as the bit-identity oracle for
-//! `crates/core/tests/compaction_equivalence.rs` and as the "before"
+//! allocations. Compaction consumes the layer's resolve, whose lane list
+//! is transient. The pre-compaction kernels are retained verbatim (the
+//! [`reference`] module, reachable via [`ScEngine::forward_reference`]):
+//! a self-contained oracle over the same resolve, the bit-identity oracle
+//! for `crates/core/tests/compaction_equivalence.rs` and the "before"
 //! side of the `bench_forward` perf trajectory.
 //!
 //! Thread count follows `RAYON_NUM_THREADS` (or an installed
@@ -247,51 +248,26 @@ impl ResilienceReport {
     }
 }
 
-/// A weight operand resolved for the compute phase: quantized split
-/// levels, the accumulator group its lane feeds, and the packed words of
-/// its positive/negative streams. The words are copied out of the lane
-/// table once per resolve so the per-position hot loop reads flat local
-/// data instead of chasing table pointers; tables are immutable for the
-/// duration of a pass, so the copy is exact.
+/// One weight lane as the resolve leaves it: quantized split levels, the
+/// accumulator group the lane feeds, and the lane table its streams come
+/// from. Transient: compaction and the oracle read it, then drop it.
 struct WeightRef {
     pos: u32,
     neg: u32,
     group: usize,
-    pos_words: Vec<u64>,
-    neg_words: Vec<u64>,
+    table: LaneTable,
 }
 
 impl WeightRef {
-    /// Resolves one weight lane. `copy_words` controls whether the stream
-    /// words are copied into the per-lane `Vec`s: the reference kernels
-    /// read them, so [`ScEngine::forward_reference`] resolves with the
-    /// copies (keeping the "before" timing honest), while the compacted
-    /// path skips the two heap copies per lane and reads its words
-    /// straight out of the lane table when [`CompactKernel::build`] packs
-    /// the position-major buffer. Levels are range-validated either way.
-    fn resolve(
-        table: &LaneTable,
-        (pos, neg): (u32, u32),
-        group: usize,
-        copy_words: bool,
-    ) -> Result<WeightRef, GeoError> {
-        let words_of = |level: u32| -> Result<Vec<u64>, GeoError> {
-            if level == 0 {
-                return Ok(Vec::new());
-            }
-            let stream = table.stream(level)?;
-            Ok(if copy_words {
-                stream.as_words().to_vec()
-            } else {
-                Vec::new()
-            })
-        };
+    /// Range-validates both split levels against `table` once, so every
+    /// later [`LaneTable::words`] read of them is in range.
+    fn new(table: LaneTable, (pos, neg): (u32, u32), group: usize) -> Result<Self, GeoError> {
+        table.stream(pos.max(neg))?;
         Ok(WeightRef {
             pos,
             neg,
             group,
-            pos_words: words_of(pos)?,
-            neg_words: words_of(neg)?,
+            table,
         })
     }
 
@@ -301,6 +277,18 @@ impl WeightRef {
     }
 }
 
+/// One conv/linear layer as the resolve leaves it, before compaction: the
+/// activation lane tables and one [`WeightRef`] per weight, `rows` output
+/// channels/neurons of `act_tables.len()` lanes each, in resolve order.
+struct Resolved {
+    len: usize,
+    /// Accumulator groups per output (partial binary accumulation).
+    groups: usize,
+    rows: usize,
+    act_tables: Vec<LaneTable>,
+    lanes: Vec<WeightRef>,
+}
+
 /// Sparsity-compacted weight lanes for a whole layer, in
 /// structure-of-arrays form with **position-major** stream words
 /// (DESIGN.md §14): per output channel/neuron, a contiguous run of its
@@ -308,8 +296,8 @@ impl WeightRef {
 /// each stream-word position `j` the words of all `n` row lanes are
 /// adjacent (`row_pos(r)[j·n + i]`). The per-pixel hot loop streams
 /// through these dense arrays 4 lanes per iteration instead of re-testing
-/// `WeightRef::is_zero` per lane per pixel and hopping between per-lane
-/// word pairs.
+/// each lane's zeroness per pixel and hopping between per-lane word
+/// pairs.
 ///
 /// Lane order within a row matches the resolve order (`ci`, `ky`, `kx`
 /// ascending), so the sequence of accumulate calls — and therefore APC
@@ -319,9 +307,6 @@ impl WeightRef {
 /// [`CompactKernel::flags`] so its push order never sees them.
 #[derive(Debug)]
 struct CompactKernel {
-    /// Activation index of each lane (conv: `(ci·k + ky)·k + kx`; linear:
-    /// the feature index).
-    lane: Vec<usize>,
     /// Per-lane offset into the shared gathered-activation row buffer
     /// ([`ActBuf`]): `lane · act_stride`, where `act_stride` is `ow` for
     /// conv (one gathered word run per output column) and 1 for linear.
@@ -357,23 +342,15 @@ struct CompactKernel {
 }
 
 impl CompactKernel {
-    /// Compacts `wrefs` (laid out `rows × lanes_per_row`, resolve order)
-    /// into per-row nonzero lane lists, reading each lane's stream words
-    /// from its table in `wtables` (parallel to `wrefs`). `act_stride`
-    /// is the gathered-activation stride per lane index (conv: `ow`,
-    /// linear: 1); callers guarantee `lanes_per_row · act_stride` fits
-    /// `u32`.
-    fn build(
-        wrefs: &[WeightRef],
-        wtables: &[LaneTable],
-        rows: usize,
-        lanes_per_row: usize,
-        words: usize,
-        act_stride: usize,
-    ) -> CompactKernel {
-        let nonzero = wrefs.iter().filter(|w| !w.is_zero()).count();
+    /// Compacts a resolved layer's lanes into per-row nonzero lane lists,
+    /// reading each lane's stream words from its table. `act_stride` is
+    /// the gathered-activation stride per lane index (conv: `ow`, linear:
+    /// 1); callers guarantee `act_tables.len() · act_stride` fits `u32`.
+    fn build(r: &Resolved, act_stride: usize) -> CompactKernel {
+        let (rows, lanes_per_row) = (r.rows, r.act_tables.len());
+        let words = r.len.div_ceil(64);
+        let nonzero = r.lanes.iter().filter(|w| !w.is_zero()).count();
         let mut k = CompactKernel {
-            lane: Vec::with_capacity(nonzero),
             aoff: Vec::with_capacity(nonzero),
             group: Vec::with_capacity(nonzero),
             flags: Vec::with_capacity(nonzero),
@@ -392,23 +369,21 @@ impl CompactKernel {
         k.neg_offsets.push(0);
         let empty: &[u64] = &[];
         let mut row_streams: Vec<(&[u64], &[u64])> = Vec::with_capacity(lanes_per_row);
-        for r in 0..rows {
+        for row in 0..rows {
             row_streams.clear();
             for l in 0..lanes_per_row {
-                let i = r * lanes_per_row + l;
-                let wref = &wrefs[i];
+                let wref = &r.lanes[row * lanes_per_row + l];
                 if wref.is_zero() {
                     continue;
                 }
                 let aoff = (l * act_stride) as u32;
-                let table = &wtables[i];
                 let pw = if wref.pos > 0 {
-                    table.words(wref.pos)
+                    wref.table.words(wref.pos)
                 } else {
                     empty
                 };
                 let nw = if wref.neg > 0 {
-                    table.words(wref.neg)
+                    wref.table.words(wref.neg)
                 } else {
                     empty
                 };
@@ -421,7 +396,6 @@ impl CompactKernel {
                     k.neg_w.extend_from_slice(nw);
                 }
                 row_streams.push((pw, nw));
-                k.lane.push(l);
                 k.aoff.push(aoff);
                 k.group.push(wref.group as u32);
                 k.flags
@@ -435,7 +409,7 @@ impl CompactKernel {
                     }
                 }
             }
-            k.offsets.push(k.lane.len());
+            k.offsets.push(k.aoff.len());
             k.pos_offsets.push(k.pos_aoff.len());
             k.neg_offsets.push(k.neg_aoff.len());
         }
@@ -499,15 +473,15 @@ impl CompactKernel {
 }
 
 /// Everything input-independent that the pure compute phase needs for one
-/// convolution layer, produced serially by [`ScEngine::prepare_conv`] once
-/// per (model × config × fault-model). Shared as `&self` across worker
-/// threads and across requests (see the compile-time assertions below);
-/// per-request activations arrive separately as an [`ActBatch`].
+/// convolution layer, compacted by [`PreparedConv::new`] once per (model
+/// × config × fault-model); its only per-weight state is the
+/// [`CompactKernel`]. Shared as `&self` across worker threads and across
+/// requests (see the compile-time assertions below); per-request
+/// activations arrive separately as an [`ActBatch`].
 struct PreparedConv {
     mode: Accumulation,
     len: usize,
     words: usize,
-    groups: usize,
     /// Quantization width (`log2 len`) for per-request activation levels.
     width: u8,
     /// Progressive generation flag, fixed at prepare time.
@@ -516,19 +490,14 @@ struct PreparedConv {
     h: usize,
     w: usize,
     cout: usize,
-    k: usize,
     stride: usize,
     pad: usize,
     oh: usize,
     ow: usize,
     volume: usize,
     act_tables: Vec<LaneTable>,
-    /// Uncompacted lanes, kept for the pre-compaction reference kernels
-    /// (the equivalence oracle and the `bench_forward` baseline).
-    wrefs: Vec<WeightRef>,
     /// Level-indexed flat copy of the activation tables
-    /// ([`flatten_act_tables`]); empty when resolving for the reference
-    /// kernels.
+    /// ([`flatten_act_tables`]).
     act_flat: Vec<u64>,
     /// Per-output-channel compacted nonzero lanes (the hot-path layout).
     compact: CompactKernel,
@@ -541,21 +510,19 @@ struct PreparedConv {
     /// Kernel column offset per kernel position (`lane % k`).
     pos_kx: Vec<u32>,
     /// Flat activation-table offset per kernel position
-    /// ([`flatten_act_tables`]); zeros when resolving for the reference
-    /// kernels, which never read it.
+    /// ([`flatten_act_tables`]).
     pos_ao: Vec<u32>,
     /// Per-worker scratch buffers, pooled across requests (serve path).
     scratch: ScratchPool,
 }
 
 /// Everything input-independent that the pure compute phase needs for one
-/// fully-connected layer, produced serially by
-/// [`ScEngine::prepare_linear`].
+/// fully-connected layer, compacted by [`PreparedLinear::new`] (see
+/// [`PreparedConv`]).
 struct PreparedLinear {
     mode: Accumulation,
     len: usize,
     words: usize,
-    groups: usize,
     /// Quantization width (`log2 len`) for per-request activation levels.
     width: u8,
     /// Progressive generation flag, fixed at prepare time.
@@ -563,16 +530,12 @@ struct PreparedLinear {
     features: usize,
     outf: usize,
     act_tables: Vec<LaneTable>,
-    /// Uncompacted lanes, kept for the pre-compaction reference kernels.
-    wrefs: Vec<WeightRef>,
     /// Level-indexed flat copy of the activation tables
-    /// ([`flatten_act_tables`]); empty when resolving for the reference
-    /// kernels.
+    /// ([`flatten_act_tables`]).
     act_flat: Vec<u64>,
     /// Per-output-neuron compacted nonzero lanes (the hot-path layout).
     compact: CompactKernel,
-    /// Flat activation-table offset per input feature; zeros when
-    /// resolving for the reference kernels.
+    /// Flat activation-table offset per input feature.
     pos_ao: Vec<u32>,
     /// Per-worker scratch buffers, pooled across requests (serve path).
     scratch: ScratchPool,
@@ -711,7 +674,6 @@ impl Flow {
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<LaneTable>();
-    assert_send_sync::<WeightRef>();
     assert_send_sync::<CompactKernel>();
     assert_send_sync::<PreparedConv>();
     assert_send_sync::<PreparedLinear>();
@@ -724,7 +686,7 @@ const _: () = {
 /// Every slice aliases the [`CompactKernel`] SoA arrays directly — there
 /// is no per-row repacking; lanes whose input row falls outside the image
 /// read zero words from the shared [`ActBuf`] instead (see
-/// [`ResolvedConv::gather_row`]).
+/// [`PreparedConv::gather_row`]).
 struct RowView<'a> {
     n: usize,
     /// Per-lane base offsets into the gathered activations: lane `i` of
@@ -1239,6 +1201,61 @@ fn record_error(slot: &Mutex<Option<GeoError>>, err: GeoError) {
 }
 
 impl PreparedConv {
+    /// Compacts a resolved convolution at input geometry `(h, w)`:
+    /// flattens the activation tables into the gather slab, packs the
+    /// nonzero lanes and fixes per-worker scratch sizing.
+    fn new(
+        conv: &Conv2d,
+        (h, w): (usize, usize),
+        r: Resolved,
+        config: &GeoConfig,
+    ) -> Result<Self, GeoError> {
+        let (oh, ow) = conv.output_size(h, w);
+        let (k, volume, words) = (conv.kernel(), r.act_tables.len(), r.len.div_ceil(64));
+        let (act_flat, pos_ao) = flatten_act_tables(&r.act_tables, words)?;
+        // The per-lane gather offsets (`lane · ow`) are stored as u32.
+        if u32::try_from(volume.saturating_mul(ow.max(1))).is_err() {
+            return Err(GeoError::Internal(format!(
+                "conv gather index space {volume}·{ow} exceeds u32"
+            )));
+        }
+        let compact = CompactKernel::build(&r, ow);
+        let mut pos_ci = Vec::with_capacity(volume);
+        let mut pos_ky = Vec::with_capacity(volume);
+        let mut pos_kx = Vec::with_capacity(volume);
+        for lane in 0..volume {
+            let rem = lane % (k * k);
+            pos_ci.push((lane / (k * k)) as u32);
+            pos_ky.push((rem / k) as u32);
+            pos_kx.push((rem % k) as u32);
+        }
+        let scratch = ScratchPool::new(r.groups, words, compact.max_row_lanes(), volume * ow, ow);
+        Ok(PreparedConv {
+            mode: config.accumulation,
+            len: r.len,
+            words,
+            width: GeoConfig::width_for(r.len),
+            progressive: config.progressive,
+            cin: conv.cin(),
+            h,
+            w,
+            cout: r.rows,
+            stride: conv.stride(),
+            pad: conv.padding(),
+            oh,
+            ow,
+            volume,
+            act_tables: r.act_tables,
+            act_flat,
+            compact,
+            pos_ci,
+            pos_ky,
+            pos_kx,
+            pos_ao,
+            scratch,
+        })
+    }
+
     /// Accepts one request's activations in either form and turns them
     /// into compute-ready levels, validating the batch's shape against
     /// the prepared geometry and its maximum level against the lane
@@ -1591,6 +1608,35 @@ struct FusedEpilogue<'a> {
 }
 
 impl PreparedLinear {
+    /// Compacts a resolved fully-connected layer (see
+    /// [`PreparedConv::new`]).
+    fn new(r: Resolved, config: &GeoConfig) -> Result<Self, GeoError> {
+        let (features, words) = (r.act_tables.len(), r.len.div_ceil(64));
+        let (act_flat, pos_ao) = flatten_act_tables(&r.act_tables, words)?;
+        // The per-lane gather offsets (`lane · 1`) are stored as u32.
+        if u32::try_from(features).is_err() {
+            return Err(GeoError::Internal(format!(
+                "linear gather index space {features} exceeds u32"
+            )));
+        }
+        let compact = CompactKernel::build(&r, 1);
+        let scratch = ScratchPool::new(r.groups, words, compact.max_row_lanes(), features, 1);
+        Ok(PreparedLinear {
+            mode: config.accumulation,
+            len: r.len,
+            words,
+            width: GeoConfig::width_for(r.len),
+            progressive: config.progressive,
+            features,
+            outf: r.rows,
+            act_tables: r.act_tables,
+            act_flat,
+            compact,
+            pos_ao,
+            scratch,
+        })
+    }
+
     /// Accepts one request's activations in either form (see
     /// [`PreparedConv::accept`]).
     fn accept(&self, flow: Flow) -> Result<ActBatch, GeoError> {
@@ -1739,9 +1785,6 @@ pub struct ScEngine {
     cache: TableCache,
     resilience: ResilienceReport,
     telemetry: EngineTelemetry,
-    /// When set, compute phases run the pre-compaction reference kernels
-    /// instead of the compacted ones (see [`ScEngine::forward_reference`]).
-    reference_kernels: bool,
 }
 
 impl ScEngine {
@@ -1777,7 +1820,6 @@ impl ScEngine {
             cache,
             resilience: ResilienceReport::default(),
             telemetry: EngineTelemetry::default(),
-            reference_kernels: false,
         })
     }
 
@@ -1809,8 +1851,8 @@ impl ScEngine {
     ///
     /// All-zero unless the crate is built with the `telemetry` feature
     /// (see [`crate::telemetry::enabled`]). Counters cover both the
-    /// compacted and reference compute paths, which execute the identical
-    /// MAC set by construction.
+    /// compacted and reference compute paths, which resolve the same
+    /// lanes and execute the identical MAC set by construction.
     pub fn telemetry_report(&self) -> TelemetryReport {
         self.telemetry.report("sc-engine")
     }
@@ -1869,21 +1911,20 @@ impl ScEngine {
     }
 
     /// Runs the network through the *pre-compaction reference kernels*:
-    /// the per-pixel loops that test padding bounds and `WeightRef`
-    /// zeroness on every lane and materialize APC products as heap
-    /// bitstreams.
+    /// the per-pixel loops that test padding bounds and lane zeroness on
+    /// every lane and materialize APC products as heap bitstreams.
     ///
-    /// The reference path is retained for two jobs: it is the oracle the
-    /// compacted kernels are proven bit-identical against
-    /// (`crates/core/tests/compaction_equivalence.rs`), and it is the
-    /// "before" side of the `bench_forward` perf trajectory. Outputs are
-    /// bit-for-bit equal to [`ScEngine::forward`] at every thread count.
-    ///
-    /// Reference passes stay on the *unfused* pipeline by construction:
-    /// conv→pool fusion and level chaining are gated on
-    /// `!reference_kernels` in `prepare_with_lens`, so an oracle
-    /// comparison can never silently take the fast path it is supposed
-    /// to check.
+    /// The oracle is self-contained: it walks the model layer by layer,
+    /// resolves each conv/linear layer through the same resolve the
+    /// prepared path compacts, and copies each lane's stream words into
+    /// its own records. It never reads a compacted kernel or the flat
+    /// activation slab. It is the oracle the compacted kernels are proven
+    /// bit-identical against (`crates/core/tests/compaction_equivalence.rs`)
+    /// and the "before" side of the `bench_forward` perf trajectory.
+    /// Outputs, resilience reports and telemetry MAC and lane counts equal
+    /// [`ScEngine::forward`]'s at every thread count, in both modes. The
+    /// walk is unfused, so an oracle comparison can never take the
+    /// conv→pool fusion or level-chaining fast path it checks.
     ///
     /// # Errors
     ///
@@ -1895,10 +1936,17 @@ impl ScEngine {
         input: &Tensor,
         training: bool,
     ) -> Result<Tensor, GeoError> {
-        self.reference_kernels = true;
-        let out = self.forward_with_lens(model, input, training, |_, len| Ok(len));
-        self.reference_kernels = false;
-        out
+        self.walk(
+            model,
+            input,
+            training,
+            |eng, layer, x, pl, len, tel, res| {
+                let r = eng.resolve_layer(layer, x.shape(), len, pl, tel, res)?;
+                let r = reference::RefLayer::new(r, eng.config);
+                let tel = tel.layer(pl as usize);
+                timed(tel, Phase::Compute, || r.forward(layer, x, tel))
+            },
+        )
     }
 
     /// The forward loop, parameterized over the per-layer stream-length
@@ -1915,8 +1963,8 @@ impl ScEngine {
     /// a one-shot [`PreparedModel`] — the same code the serve path reuses
     /// across requests, which is what pins that path bit-identical to
     /// every historical `forward` output. Training walks the layers
-    /// itself, because float layers must run `&mut` forwards to cache
-    /// inputs for backward (batch norm on batch statistics): each
+    /// ([`Self::walk`]), because float layers must run `&mut` forwards to
+    /// cache inputs for backward (batch norm on batch statistics): each
     /// conv/linear layer runs its float forward, then takes its output
     /// from the executor on that layer's unfused step.
     pub(crate) fn forward_with_lens<F>(
@@ -1939,46 +1987,75 @@ impl ScEngine {
             self.resilience.absorb(&prepared.resilience);
             return out;
         }
+        self.walk(model, input, true, |eng, layer, x, pl, len, tel, res| {
+            let len = len_for(pl, len)?;
+            let step = eng.prepare_layer(layer, x.shape(), len, pl, tel, res)?;
+            let out = step.run(Flow::Float(x), tel)?;
+            out.into_float("training step output")
+        })
+    }
+
+    /// Runs `model` one layer at a time in one cache pass, `sc(engine,
+    /// layer, input, param_layer, planned_len, ..)` computing each
+    /// conv/linear output. In training every layer first runs its float
+    /// forward, which non-SC layers keep; at inference non-SC layers run
+    /// their prepared near-memory steps.
+    fn walk<F>(
+        &mut self,
+        model: &mut Sequential,
+        input: &Tensor,
+        training: bool,
+        mut sc: F,
+    ) -> Result<Tensor, GeoError>
+    where
+        F: FnMut(
+            &mut Self,
+            &Layer,
+            Tensor,
+            u32,
+            usize,
+            &mut EngineTelemetry,
+            &mut ResilienceReport,
+        ) -> Result<Tensor, GeoError>,
+    {
         self.cache.begin_pass();
-        let mut telemetry = EngineTelemetry::default();
-        let mut resilience = ResilienceReport::default();
-        telemetry.passes.incr();
+        let (mut tel, mut res) = (EngineTelemetry::default(), ResilienceReport::default());
+        tel.passes.incr();
         if self.fault_model().is_some() {
-            resilience.passes = 1;
+            res.passes = 1;
         }
-        model.set_training(true);
+        model.set_training(training);
         let plan = self.stream_plan(model);
         let mut x = input.clone();
         let mut param_layer = 0u32;
         for (i, layer) in model.layers_mut().iter_mut().enumerate() {
+            let tel_layer = param_layer.saturating_sub(1) as usize;
             x = match layer {
                 Layer::Conv2d(_) | Layer::Linear(_) => {
-                    let len = len_for(param_layer, planned_len(&plan, i)?)?;
-                    layer.forward(&x)?; // cache input for backward
-                    let step = self.prepare_layer(
-                        layer,
-                        x.shape(),
-                        len,
-                        param_layer,
-                        &mut telemetry,
-                        &mut resilience,
-                    )?;
+                    if training {
+                        layer.forward(&x)?; // cache input for backward
+                    }
+                    let len = planned_len(&plan, i)?;
+                    let out = sc(self, layer, x, param_layer, len, &mut tel, &mut res)?;
                     param_layer += 1;
-                    step.run(Flow::Float(x), &telemetry, self.reference_kernels)?
-                        .into_float("training step output")?
+                    out
                 }
-                // ReLU, then saturate at 1.0: unipolar streams cannot
-                // carry more (the straight-through clamp SC training
-                // learns around).
-                Layer::Relu(r) => r.forward(&x).map(|v| v.min(1.0)),
+                // ReLU, then saturate at 1.0 (see `PreparedStep::Relu`).
+                Layer::Relu(r) if training => r.forward(&x).map(|v| v.min(1.0)),
+                other if training => {
+                    timed(tel.layer(tel_layer), Phase::NearMem, || other.forward(&x))?
+                }
                 other => {
-                    let tel = telemetry.layer(param_layer.saturating_sub(1) as usize);
-                    timed(tel, Phase::NearMem, || other.forward(&x))?
+                    tel.ensure_layers(tel_layer + 1);
+                    let out = self
+                        .near_mem_step(other, tel_layer)?
+                        .run(Flow::Float(x), &tel)?;
+                    out.into_float("near-memory step output")?
                 }
             };
         }
-        self.telemetry.absorb(&telemetry);
-        self.resilience.absorb(&resilience);
+        self.telemetry.absorb(&tel);
+        self.resilience.absorb(&res);
         Ok(x)
     }
 
@@ -2029,10 +2106,7 @@ impl ScEngine {
         if self.fault_model().is_some() {
             resilience.passes = 1;
         }
-        // Conv→pool fusion and level chaining are config-gated and never
-        // applied to reference prepares, which must stay on the unfused
-        // oracle path by construction.
-        let fuse = self.config.fuse_pooling && !self.reference_kernels;
+        let fuse = self.config.fuse_pooling;
         let layers = model.layers();
         let mut steps = Vec::with_capacity(layers.len());
         let mut shape: Vec<usize> = input_shape.to_vec();
@@ -2091,14 +2165,7 @@ impl ScEngine {
                         step => step,
                     }
                 }
-                Layer::BatchNorm2d(bn) => PreparedStep::BatchNorm {
-                    affine: BnAffine::prepare(bn, self.config.bn_bits)?,
-                    tel_layer,
-                },
-                Layer::Relu(_) => PreparedStep::Relu,
-                Layer::AvgPool2d(_) => PreparedStep::AvgPool { tel_layer },
-                Layer::MaxPool2d(_) => PreparedStep::MaxPool { tel_layer },
-                Layer::Flatten(_) => PreparedStep::Flatten { tel_layer },
+                other => self.near_mem_step(other, tel_layer)?,
             };
             shape = step.output_shape(&shape)?;
             steps.push(step);
@@ -2118,17 +2185,32 @@ impl ScEngine {
             steps,
             telemetry,
             resilience,
-            reference: self.reference_kernels,
+        })
+    }
+
+    /// The prepared step of a non-parametrized layer, its near-memory
+    /// time attributed to `tel_layer`: batch norm becomes its quantized
+    /// folded affine; ReLU, pools and Flatten evaluate as they are.
+    fn near_mem_step(&self, layer: &Layer, tel_layer: usize) -> Result<PreparedStep, GeoError> {
+        Ok(match layer {
+            Layer::BatchNorm2d(bn) => PreparedStep::BatchNorm {
+                affine: BnAffine::prepare(bn, self.config.bn_bits)?,
+                tel_layer,
+            },
+            Layer::Relu(_) => PreparedStep::Relu,
+            Layer::AvgPool2d(_) => PreparedStep::AvgPool { tel_layer },
+            Layer::MaxPool2d(_) => PreparedStep::MaxPool { tel_layer },
+            Layer::Flatten(_) => PreparedStep::Flatten { tel_layer },
+            Layer::Conv2d(_) | Layer::Linear(_) => {
+                return Err(GeoError::Internal("conv/linear near-memory step".into()))
+            }
         })
     }
 
     /// Phase 1 for one parametrized layer — the one per-layer prepare
     /// every SC run goes through (whole-network prepare, the training
-    /// loop, single-layer runs): checks the activation `shape` against
-    /// the layer, prepares it at stream length `len`, and folds its
-    /// resolve counters and the faults its table builds injected into
-    /// `telemetry`/`resilience` under `param_layer`. Returns the layer's
-    /// unfused step, emitting f32.
+    /// loop, single-layer runs): [`Self::resolve_layer`], then compaction
+    /// into the layer's unfused step, emitting f32.
     fn prepare_layer(
         &mut self,
         layer: &Layer,
@@ -2138,30 +2220,58 @@ impl ScEngine {
         telemetry: &mut EngineTelemetry,
         resilience: &mut ResilienceReport,
     ) -> Result<PreparedStep, GeoError> {
-        let before = self.cache.fault_counters();
-        let (emit, tel) = (Emit::Float, telemetry.layer(param_layer as usize));
+        let sw = Stopwatch::start();
+        let r = self.resolve_layer(layer, shape, len, param_layer, telemetry, resilience)?;
+        let emit = Emit::Float;
         let step = match layer {
+            Layer::Conv2d(conv) => PreparedStep::Conv {
+                layer: PreparedConv::new(conv, (shape[2], shape[3]), r, &self.config)?,
+                param_layer,
+                emit,
+            },
+            // `resolve_layer` admits only conv and linear layers.
+            _ => PreparedStep::Linear {
+                layer: PreparedLinear::new(r, &self.config)?,
+                param_layer,
+                emit,
+            },
+        };
+        if telemetry::enabled() {
+            let tel = telemetry.layer(param_layer as usize);
+            tel.add_phase_ns(Phase::Resolve, sw.elapsed_ns());
+        }
+        Ok(step)
+    }
+
+    /// The resolve the prepared path and the oracle share: checks the
+    /// activation `shape` against the layer, builds or fetches its lane
+    /// tables in the fixed order that keeps fault draws deterministic,
+    /// quantizes its weights at stream length `len`, and records resolve
+    /// counters and injected faults under `param_layer`.
+    fn resolve_layer(
+        &mut self,
+        layer: &Layer,
+        shape: &[usize],
+        len: usize,
+        param_layer: u32,
+        telemetry: &mut EngineTelemetry,
+        resilience: &mut ResilienceReport,
+    ) -> Result<Resolved, GeoError> {
+        let before = self.cache.fault_counters();
+        let (hits0, misses0) = self.cache.lookup_counts();
+        let r = match layer {
             Layer::Conv2d(conv) => {
                 if shape.len() != 4 || shape[1] != conv.cin() {
                     return Err(shape_mismatch(format!("(N, {}, H, W)", conv.cin()), shape));
                 }
-                let hw = (shape[2], shape[3]);
-                PreparedStep::Conv {
-                    layer: self.prepare_conv(conv, hw, len, param_layer, tel)?,
-                    param_layer,
-                    emit,
-                }
+                self.resolve_conv(conv, len, param_layer)?
             }
             Layer::Linear(lin) => {
                 if shape.len() != 2 || shape[1] != lin.input_features() {
                     let expected = format!("(N, {})", lin.input_features());
                     return Err(shape_mismatch(expected, shape));
                 }
-                PreparedStep::Linear {
-                    layer: self.prepare_linear(lin, len, param_layer, tel)?,
-                    param_layer,
-                    emit,
-                }
+                self.resolve_linear(lin, len, param_layer)?
             }
             other => {
                 return Err(GeoError::Internal(format!(
@@ -2170,15 +2280,23 @@ impl ScEngine {
                 )))
             }
         };
+        let tel = telemetry.layer(param_layer as usize);
+        if telemetry::enabled() {
+            let (hits, misses) = self.cache.lookup_counts();
+            tel.table_hits.add(hits - hits0);
+            tel.table_misses.add(misses - misses0);
+            let kept = r.lanes.iter().filter(|l| !l.is_zero()).count();
+            tel.compacted_lanes.add(kept as u64);
+            tel.skipped_zero_lanes.add((r.lanes.len() - kept) as u64);
+        }
         if self.cache.fault_model().is_some() {
             let delta = self.cache.fault_counters().delta_since(&before);
             if telemetry::enabled() {
-                let tel = telemetry.layer(param_layer as usize);
                 tel.fault_events.add(delta.total());
             }
             resilience.record(param_layer, delta);
         }
-        Ok(step)
+        Ok(r)
     }
 
     /// Runs the SC datapath of the single parametrized layer at
@@ -2226,11 +2344,7 @@ impl ScEngine {
             &mut resilience,
         )?;
         let out = step
-            .run(
-                Flow::Float(input.clone()),
-                &telemetry,
-                self.reference_kernels,
-            )?
+            .run(Flow::Float(input.clone()), &telemetry)?
             .into_float("single-layer output")?;
         self.telemetry.absorb(&telemetry);
         self.resilience.absorb(&resilience);
@@ -2266,26 +2380,17 @@ impl ScEngine {
         }
     }
 
-    /// Phase 1 for a convolution: builds/fetches every lane table through
-    /// the serial [`TableCache`] (in a fixed order, so fault injection is
-    /// deterministic) and quantizes every *weight* operand, recording the
-    /// resolve's counters into `tel`. Nothing here reads the activations —
-    /// the produced [`PreparedConv`] is reusable across requests at the
-    /// traced `(h, w)` geometry.
-    fn prepare_conv(
+    /// The resolve loop of a convolution (see [`Self::resolve_layer`]):
+    /// one activation table per kernel position, then one [`WeightRef`]
+    /// per weight in `(co, ci, ky, kx)` order.
+    fn resolve_conv(
         &mut self,
         conv: &Conv2d,
-        (h, w): (usize, usize),
         len: usize,
         param_layer: u32,
-        tel: &LayerCounters,
-    ) -> Result<PreparedConv, GeoError> {
-        let sw_resolve = Stopwatch::start();
-        let (hits0, misses0) = self.cache.lookup_counts();
+    ) -> Result<Resolved, GeoError> {
         let cin = conv.cin();
         let (cout, k) = (conv.cout(), conv.kernel());
-        let (stride, pad) = (conv.stride(), conv.padding());
-        let (oh, ow) = conv.output_size(h, w);
         let width = GeoConfig::width_for(len);
         let dims = KernelDims::new(cout, cin, k, k);
         let plan = SeedPlan::new(
@@ -2306,14 +2411,9 @@ impl ScEngine {
             })
             .collect::<Result<_, _>>()?;
 
-        // Weight references: per (kernel, position), with the accumulator
-        // group each lane feeds precomputed from its kernel coordinates.
-        // The tables are retained (cheap `Arc` clones) so the compacted
-        // build can read stream words without the per-lane heap copies
-        // the reference resolve makes.
-        let copy_words = self.reference_kernels;
-        let mut wrefs = Vec::with_capacity(cout * volume);
-        let mut wtables = Vec::with_capacity(cout * volume);
+        // Weight lanes: per (kernel, position), with the accumulator group
+        // each lane feeds precomputed from its kernel coordinates.
+        let mut lanes = Vec::with_capacity(cout * volume);
         for co in 0..cout {
             for ci in 0..cin {
                 for ky in 0..k {
@@ -2327,95 +2427,35 @@ impl ScEngine {
                             Accumulation::Pbhw => ky * k + kx,
                             Accumulation::Or | Accumulation::Fxp | Accumulation::Apc => 0,
                         };
-                        wrefs.push(WeightRef::resolve(&table, levels, group, copy_words)?);
-                        wtables.push(table);
+                        lanes.push(WeightRef::new(table, levels, group)?);
                     }
                 }
             }
         }
-        let (hits, misses) = self.cache.lookup_counts();
-
         let groups = match mode {
             Accumulation::Or => 1,
             Accumulation::Pbw => k,
             Accumulation::Pbhw => k * k,
             Accumulation::Fxp | Accumulation::Apc => 1, // handled separately
         };
-        let words = len.div_ceil(64);
-        // The flat activation slab only serves the compacted gather; the
-        // reference path keeps its per-MAC table lookups (and their cost).
-        let (act_flat, act_off) = if self.reference_kernels {
-            (Vec::new(), vec![0u32; act_tables.len()])
-        } else {
-            flatten_act_tables(&act_tables, words)?
-        };
-        // The per-lane gather offsets (`lane · ow`) are stored as u32.
-        if u32::try_from(volume.saturating_mul(ow.max(1))).is_err() {
-            return Err(GeoError::Internal(format!(
-                "conv gather index space {volume}·{ow} exceeds u32"
-            )));
-        }
-        let compact = CompactKernel::build(&wrefs, &wtables, cout, volume, words, ow);
-        drop(wtables);
-        let mut pos_ci = Vec::with_capacity(volume);
-        let mut pos_ky = Vec::with_capacity(volume);
-        let mut pos_kx = Vec::with_capacity(volume);
-        for lane in 0..volume {
-            let rem = lane % (k * k);
-            pos_ci.push((lane / (k * k)) as u32);
-            pos_ky.push((rem / k) as u32);
-            pos_kx.push((rem % k) as u32);
-        }
-        if telemetry::enabled() {
-            tel.add_phase_ns(Phase::Resolve, sw_resolve.elapsed_ns());
-            tel.table_hits.add(hits - hits0);
-            tel.table_misses.add(misses - misses0);
-            tel.compacted_lanes.add(compact.lane.len() as u64);
-            tel.skipped_zero_lanes
-                .add((wrefs.len() - compact.lane.len()) as u64);
-        }
-        let scratch = ScratchPool::new(groups, words, compact.max_row_lanes(), volume * ow, ow);
-        Ok(PreparedConv {
-            mode,
+        Ok(Resolved {
             len,
-            words,
             groups,
-            width,
-            progressive: self.config.progressive,
-            cin,
-            h,
-            w,
-            cout,
-            k,
-            stride,
-            pad,
-            oh,
-            ow,
-            volume,
+            rows: cout,
             act_tables,
-            wrefs,
-            act_flat,
-            compact,
-            pos_ci,
-            pos_ky,
-            pos_kx,
-            pos_ao: act_off,
-            scratch,
+            lanes,
         })
     }
 
-    /// Phase 1 for a fully-connected layer (see [`Self::prepare_conv`]):
-    /// features map onto a pseudo-kernel of width [`FC_BINARY_WIDTH`], so
-    /// the accumulation split applies.
-    fn prepare_linear(
+    /// The resolve loop of a fully-connected layer (see
+    /// [`Self::resolve_conv`]): features map onto a pseudo-kernel of width
+    /// [`FC_BINARY_WIDTH`], so the accumulation split applies.
+    fn resolve_linear(
         &mut self,
         lin: &Linear,
         len: usize,
         param_layer: u32,
-        tel: &LayerCounters,
-    ) -> Result<PreparedLinear, GeoError> {
-        let sw_resolve = Stopwatch::start();
-        let (hits0, misses0) = self.cache.lookup_counts();
+    ) -> Result<Resolved, GeoError> {
         let features = lin.input_features();
         let outf = lin.output_features();
         let width = GeoConfig::width_for(len);
@@ -2436,9 +2476,7 @@ impl ScEngine {
                 self.lane_table(width, len, spec)
             })
             .collect::<Result<_, _>>()?;
-        let copy_words = self.reference_kernels;
-        let mut wrefs = Vec::with_capacity(outf * features);
-        let mut wtables = Vec::with_capacity(outf * features);
+        let mut lanes = Vec::with_capacity(outf * features);
         for o in 0..outf {
             for i in 0..features {
                 let spec = plan.weight_spec(o, i / wdim, 0, i % wdim);
@@ -2448,55 +2486,20 @@ impl ScEngine {
                     Accumulation::Pbw | Accumulation::Pbhw => i % wdim,
                     Accumulation::Or | Accumulation::Fxp | Accumulation::Apc => 0,
                 };
-                wrefs.push(WeightRef::resolve(&table, levels, group, copy_words)?);
-                wtables.push(table);
+                lanes.push(WeightRef::new(table, levels, group)?);
             }
         }
-        let (hits, misses) = self.cache.lookup_counts();
-
         let groups = match mode {
             Accumulation::Or => 1,
             Accumulation::Pbw | Accumulation::Pbhw => wdim,
             Accumulation::Fxp | Accumulation::Apc => 1,
         };
-        let words = len.div_ceil(64);
-        let (act_flat, act_off) = if self.reference_kernels {
-            (Vec::new(), vec![0u32; act_tables.len()])
-        } else {
-            flatten_act_tables(&act_tables, words)?
-        };
-        // The per-lane gather offsets (`lane · 1`) are stored as u32.
-        if u32::try_from(features).is_err() {
-            return Err(GeoError::Internal(format!(
-                "linear gather index space {features} exceeds u32"
-            )));
-        }
-        let compact = CompactKernel::build(&wrefs, &wtables, outf, features, words, 1);
-        drop(wtables);
-        if telemetry::enabled() {
-            tel.add_phase_ns(Phase::Resolve, sw_resolve.elapsed_ns());
-            tel.table_hits.add(hits - hits0);
-            tel.table_misses.add(misses - misses0);
-            tel.compacted_lanes.add(compact.lane.len() as u64);
-            tel.skipped_zero_lanes
-                .add((wrefs.len() - compact.lane.len()) as u64);
-        }
-        let scratch = ScratchPool::new(groups, words, compact.max_row_lanes(), features, 1);
-        Ok(PreparedLinear {
-            mode,
+        Ok(Resolved {
             len,
-            words,
             groups,
-            width,
-            progressive: self.config.progressive,
-            features,
-            outf,
+            rows: outf,
             act_tables,
-            wrefs,
-            act_flat,
-            compact,
-            pos_ao: act_off,
-            scratch,
+            lanes,
         })
     }
 }
@@ -2511,21 +2514,240 @@ fn planned_len(plan: &[Option<usize>], i: usize) -> Result<usize, GeoError> {
     })
 }
 
-/// The pre-compaction compute kernels, preserved verbatim.
+/// The pre-compaction compute kernels, preserved verbatim, behind the
+/// self-contained oracle [`ScEngine::forward_reference`].
 ///
 /// Two consumers keep this module alive: the compaction equivalence
 /// proptests use it as the bit-identity oracle for the compacted kernels,
 /// and `bench_forward` times it as the "before" side of the repo's perf
 /// trajectory (`BENCH_forward.json`). It deliberately keeps every cost the
-/// compacted path removed — per-pixel padding and zero-weight tests, the
-/// fallible table lookup, per-chunk FC scheduling, and the per-MAC heap
-/// allocations feeding [`geo_sc::apc::apc_count`].
+/// compacted path removed — per-lane stream-word copies, per-pixel padding
+/// and zero-weight tests, the fallible table lookup, per-chunk FC
+/// scheduling, and the per-MAC heap allocations feeding
+/// [`geo_sc::apc::apc_count`]. It reads a layer's resolve and nothing the
+/// compaction builds.
 mod reference {
     use super::*;
 
+    /// One resolved conv/linear layer in the oracle's form: the resolve
+    /// itself and the oracle's own per-lane records, copies of each lane's
+    /// positive/negative stream words (empty for a zero half).
+    pub(super) struct RefLayer {
+        r: Resolved,
+        lane_words: Vec<[Vec<u64>; 2]>,
+        words: usize,
+        config: GeoConfig,
+    }
+
+    impl RefLayer {
+        /// Copies every resolved lane's stream words into the oracle's own
+        /// records; the resolve validated every level.
+        pub(super) fn new(r: Resolved, config: GeoConfig) -> RefLayer {
+            let copy = |lane: &WeightRef, level: u32| match level {
+                0 => Vec::new(),
+                _ => lane.table.words(level).to_vec(),
+            };
+            let lane_words = r.lanes.iter().map(|l| [copy(l, l.pos), copy(l, l.neg)]);
+            RefLayer {
+                lane_words: lane_words.collect(),
+                words: r.len.div_ceil(64),
+                r,
+                config,
+            }
+        }
+
+        /// Pre-compaction phase 2 of `layer` (the conv/linear layer this
+        /// was resolved from) on activations `x`, whose shape the resolve
+        /// checked.
+        pub(super) fn forward(
+            &self,
+            layer: &Layer,
+            x: Tensor,
+            tel: &LayerCounters,
+        ) -> Result<Tensor, GeoError> {
+            let s = x.shape().to_vec();
+            let width = GeoConfig::width_for(self.r.len);
+            let levels = Flow::Float(x).into_levels(self.config.progressive, width);
+            match layer {
+                Layer::Conv2d(conv) => self.conv(conv, &s, &levels, tel),
+                _ => self.linear(s[0], &levels, tel),
+            }
+        }
+
+        /// The per-pixel `cin·k·k` loop with padding, zero-activation, and
+        /// zero-weight tests inline, one output row `(b, co, oy)` per chunk.
+        fn conv(
+            &self,
+            conv: &Conv2d,
+            s: &[usize],
+            levels: &[u32],
+            tel: &LayerCounters,
+        ) -> Result<Tensor, GeoError> {
+            let (cin, h, w) = (s[1], s[2], s[3]);
+            let (k, stride, pad) = (conv.kernel(), conv.stride(), conv.padding());
+            let (oh, ow) = conv.output_size(h, w);
+            let (rows, volume) = (self.r.rows, self.r.act_tables.len());
+            let mut out = Tensor::zeros(&[s[0], rows, oh, ow]);
+            self.par_rows(out.data_mut(), ow.max(1), tel, |row, chunk, scratch| {
+                let (oy, co, b) = (row % oh, row / oh % rows, row / oh / rows);
+                let idx_in = |c: usize, y: usize, x: usize| ((b * cin + c) * h + y) * w + x;
+                for (ox, out_v) in chunk.iter_mut().enumerate() {
+                    scratch.reset();
+                    let mut lane = 0usize;
+                    for ci in 0..cin {
+                        for ky in 0..k {
+                            for kx in 0..k {
+                                let cur = lane;
+                                lane += 1;
+                                let iy = (oy * stride + ky) as isize - pad as isize;
+                                let ix = (ox * stride + kx) as isize - pad as isize;
+                                if iy < 0 || iy >= h as isize || ix < 0 || ix >= w as isize {
+                                    continue;
+                                }
+                                let alevel = levels[idx_in(ci, iy as usize, ix as usize)];
+                                if alevel == 0 {
+                                    continue;
+                                }
+                                let i = co * volume + cur;
+                                if self.r.lanes[i].is_zero() {
+                                    continue;
+                                }
+                                let astream = self.r.act_tables[cur].stream(alevel)?;
+                                self.accumulate(astream.as_words(), i, scratch);
+                            }
+                        }
+                    }
+                    *out_v = scratch.finish(self.config.accumulation, self.r.len)?;
+                }
+                Ok(())
+            })?;
+            Ok(out)
+        }
+
+        /// Each output neuron scheduled as its own single-element chunk
+        /// (`par_chunks_mut(1)`).
+        fn linear(
+            &self,
+            n: usize,
+            levels: &[u32],
+            tel: &LayerCounters,
+        ) -> Result<Tensor, GeoError> {
+            let (rows, features) = (self.r.rows, self.r.act_tables.len());
+            let mut out = Tensor::zeros(&[n, rows]);
+            self.par_rows(out.data_mut(), 1, tel, |row, chunk, scratch| {
+                let (o, b) = (row % rows, row / rows);
+                scratch.reset();
+                for i in 0..features {
+                    let alevel = levels[b * features + i];
+                    if alevel == 0 {
+                        continue;
+                    }
+                    if self.r.lanes[o * features + i].is_zero() {
+                        continue;
+                    }
+                    let astream = self.r.act_tables[i].stream(alevel)?;
+                    self.accumulate(astream.as_words(), o * features + i, scratch);
+                }
+                chunk[0] = scratch.finish(self.config.accumulation, self.r.len)?;
+                Ok(())
+            })?;
+            Ok(out)
+        }
+
+        /// Runs `row_fn(row, chunk, scratch)` over `out` in parallel
+        /// chunks of `chunk_len`, one scratch per worker, flushing MACs
+        /// into `tel` per chunk and returning the first error any chunk
+        /// produced.
+        fn par_rows<F>(
+            &self,
+            out: &mut [f32],
+            chunk_len: usize,
+            tel: &LayerCounters,
+            row_fn: F,
+        ) -> Result<(), GeoError>
+        where
+            F: Fn(usize, &mut [f32], &mut RefScratch) -> Result<(), GeoError> + Sync,
+        {
+            let first_err: Mutex<Option<GeoError>> = Mutex::new(None);
+            out.par_chunks_mut(chunk_len).enumerate().for_each_init(
+                || RefScratch::new(self.r.groups, self.words),
+                |scratch, (row, chunk)| {
+                    if let Err(err) = row_fn(row, chunk, scratch) {
+                        record_error(&first_err, err);
+                    }
+                    if telemetry::enabled() {
+                        tel.macs.add(scratch.macs);
+                        scratch.macs = 0;
+                    }
+                },
+            );
+            let err = first_err.into_inner().unwrap_or_else(|p| p.into_inner());
+            err.map_or(Ok(()), Err)
+        }
+
+        /// Folds one multiply-accumulate of lane `i` into the mode-specific
+        /// accumulator state (pre-compaction form, including the per-MAC
+        /// APC allocations).
+        fn accumulate(&self, act_words: &[u64], i: usize, scratch: &mut RefScratch) {
+            let (words, len) = (self.words, self.r.len);
+            if telemetry::enabled() {
+                scratch.macs += 1;
+            }
+            let (wref, [pos_words, neg_words]) = (&self.r.lanes[i], &self.lane_words[i]);
+            let g = wref.group;
+            match self.config.accumulation {
+                Accumulation::Or | Accumulation::Pbw | Accumulation::Pbhw => {
+                    if words == 1 {
+                        if wref.pos > 0 {
+                            scratch.acc_pos[g] |= act_words[0] & pos_words[0];
+                        }
+                        if wref.neg > 0 {
+                            scratch.acc_neg[g] |= act_words[0] & neg_words[0];
+                        }
+                        return;
+                    }
+                    if wref.pos > 0 {
+                        for (j, &a) in act_words.iter().enumerate().take(words) {
+                            scratch.acc_pos[g * words + j] |= a & pos_words[j];
+                        }
+                    }
+                    if wref.neg > 0 {
+                        for (j, &a) in act_words.iter().enumerate().take(words) {
+                            scratch.acc_neg[g * words + j] |= a & neg_words[j];
+                        }
+                    }
+                }
+                Accumulation::Fxp => {
+                    if wref.pos > 0 {
+                        scratch.fxp_pos += (0..words)
+                            .map(|j| (act_words[j] & pos_words[j]).count_ones() as i64)
+                            .sum::<i64>();
+                    }
+                    if wref.neg > 0 {
+                        scratch.fxp_neg += (0..words)
+                            .map(|j| (act_words[j] & neg_words[j]).count_ones() as i64)
+                            .sum::<i64>();
+                    }
+                }
+                Accumulation::Apc => {
+                    if wref.pos > 0 {
+                        let product: Vec<u64> =
+                            (0..words).map(|j| act_words[j] & pos_words[j]).collect();
+                        scratch.apc_pos.push(Bitstream::from_words(product, len));
+                    }
+                    if wref.neg > 0 {
+                        let product: Vec<u64> =
+                            (0..words).map(|j| act_words[j] & neg_words[j]).collect();
+                        scratch.apc_neg.push(Bitstream::from_words(product, len));
+                    }
+                }
+            }
+        }
+    }
+
     /// Per-worker accumulator state of the pre-compaction engine; the APC
     /// buffers grow with each product stream, exactly as they used to.
-    pub(super) struct RefScratch {
+    struct RefScratch {
         acc_pos: Vec<u64>,
         acc_neg: Vec<u64>,
         fxp_pos: i64,
@@ -2580,220 +2802,6 @@ mod reference {
                 }
             };
             Ok(signed as f32 / len as f32)
-        }
-    }
-
-    /// Folds one multiply-accumulate into the mode-specific accumulator
-    /// state (pre-compaction form, including the per-MAC APC allocations).
-    fn accumulate(
-        mode: Accumulation,
-        act_words: &[u64],
-        wref: &WeightRef,
-        words: usize,
-        len: usize,
-        scratch: &mut RefScratch,
-    ) {
-        if telemetry::enabled() {
-            scratch.macs += 1;
-        }
-        let g = wref.group;
-        match mode {
-            Accumulation::Or | Accumulation::Pbw | Accumulation::Pbhw => {
-                if words == 1 {
-                    if wref.pos > 0 {
-                        scratch.acc_pos[g] |= act_words[0] & wref.pos_words[0];
-                    }
-                    if wref.neg > 0 {
-                        scratch.acc_neg[g] |= act_words[0] & wref.neg_words[0];
-                    }
-                    return;
-                }
-                if wref.pos > 0 {
-                    for (j, &a) in act_words.iter().enumerate().take(words) {
-                        scratch.acc_pos[g * words + j] |= a & wref.pos_words[j];
-                    }
-                }
-                if wref.neg > 0 {
-                    for (j, &a) in act_words.iter().enumerate().take(words) {
-                        scratch.acc_neg[g * words + j] |= a & wref.neg_words[j];
-                    }
-                }
-            }
-            Accumulation::Fxp => {
-                if wref.pos > 0 {
-                    scratch.fxp_pos += (0..words)
-                        .map(|j| (act_words[j] & wref.pos_words[j]).count_ones() as i64)
-                        .sum::<i64>();
-                }
-                if wref.neg > 0 {
-                    scratch.fxp_neg += (0..words)
-                        .map(|j| (act_words[j] & wref.neg_words[j]).count_ones() as i64)
-                        .sum::<i64>();
-                }
-            }
-            Accumulation::Apc => {
-                if wref.pos > 0 {
-                    let product: Vec<u64> = (0..words)
-                        .map(|j| act_words[j] & wref.pos_words[j])
-                        .collect();
-                    scratch.apc_pos.push(Bitstream::from_words(product, len));
-                }
-                if wref.neg > 0 {
-                    let product: Vec<u64> = (0..words)
-                        .map(|j| act_words[j] & wref.neg_words[j])
-                        .collect();
-                    scratch.apc_neg.push(Bitstream::from_words(product, len));
-                }
-            }
-        }
-    }
-
-    impl PreparedConv {
-        /// Pre-compaction phase 2: the per-pixel `cin·k·k` loop with
-        /// padding, zero-activation, and zero-weight tests inline.
-        pub(super) fn compute_reference(
-            &self,
-            batch: &ActBatch,
-            tel: &LayerCounters,
-        ) -> Result<Tensor, GeoError> {
-            let mut out = Tensor::zeros(&[batch.n, self.cout, self.oh, self.ow]);
-            let first_err: Mutex<Option<GeoError>> = Mutex::new(None);
-            out.data_mut()
-                .par_chunks_mut(self.ow.max(1))
-                .enumerate()
-                .for_each_init(
-                    || RefScratch::new(self.groups, self.words),
-                    |scratch, (row, chunk)| {
-                        if let Err(err) =
-                            self.compute_row_reference(row, chunk, &batch.levels, scratch)
-                        {
-                            record_error(&first_err, err);
-                        }
-                        if telemetry::enabled() {
-                            tel.macs.add(scratch.macs);
-                            scratch.macs = 0;
-                        }
-                    },
-                );
-            if let Some(err) = first_err.into_inner().unwrap_or_else(|p| p.into_inner()) {
-                return Err(err);
-            }
-            Ok(out)
-        }
-
-        fn compute_row_reference(
-            &self,
-            row: usize,
-            chunk: &mut [f32],
-            levels: &[u32],
-            scratch: &mut RefScratch,
-        ) -> Result<(), GeoError> {
-            let oy = row % self.oh;
-            let bc = row / self.oh;
-            let co = bc % self.cout;
-            let b = bc / self.cout;
-            let idx_in =
-                |c: usize, y: usize, x: usize| ((b * self.cin + c) * self.h + y) * self.w + x;
-            for (ox, out_v) in chunk.iter_mut().enumerate() {
-                scratch.reset();
-                let mut lane = 0usize;
-                for ci in 0..self.cin {
-                    for ky in 0..self.k {
-                        for kx in 0..self.k {
-                            let cur = lane;
-                            lane += 1;
-                            let iy = (oy * self.stride + ky) as isize - self.pad as isize;
-                            let ix = (ox * self.stride + kx) as isize - self.pad as isize;
-                            if iy < 0 || iy >= self.h as isize || ix < 0 || ix >= self.w as isize {
-                                continue;
-                            }
-                            let alevel = levels[idx_in(ci, iy as usize, ix as usize)];
-                            if alevel == 0 {
-                                continue;
-                            }
-                            let wref = &self.wrefs[co * self.volume + cur];
-                            if wref.is_zero() {
-                                continue;
-                            }
-                            let astream = self.act_tables[cur].stream(alevel)?;
-                            accumulate(
-                                self.mode,
-                                astream.as_words(),
-                                wref,
-                                self.words,
-                                self.len,
-                                scratch,
-                            );
-                        }
-                    }
-                }
-                *out_v = scratch.finish(self.mode, self.len)?;
-            }
-            Ok(())
-        }
-    }
-
-    impl PreparedLinear {
-        /// Pre-compaction phase 2: each output neuron scheduled as its
-        /// own single-element chunk (`par_chunks_mut(1)`).
-        pub(super) fn compute_reference(
-            &self,
-            batch: &ActBatch,
-            tel: &LayerCounters,
-        ) -> Result<Tensor, GeoError> {
-            let mut out = Tensor::zeros(&[batch.n, self.outf]);
-            let first_err: Mutex<Option<GeoError>> = Mutex::new(None);
-            out.data_mut().par_chunks_mut(1).enumerate().for_each_init(
-                || RefScratch::new(self.groups, self.words),
-                |scratch, (row, chunk)| {
-                    if let Err(err) =
-                        self.compute_neuron_reference(row, chunk, &batch.levels, scratch)
-                    {
-                        record_error(&first_err, err);
-                    }
-                    if telemetry::enabled() {
-                        tel.macs.add(scratch.macs);
-                        scratch.macs = 0;
-                    }
-                },
-            );
-            if let Some(err) = first_err.into_inner().unwrap_or_else(|p| p.into_inner()) {
-                return Err(err);
-            }
-            Ok(out)
-        }
-
-        fn compute_neuron_reference(
-            &self,
-            row: usize,
-            chunk: &mut [f32],
-            levels: &[u32],
-            scratch: &mut RefScratch,
-        ) -> Result<(), GeoError> {
-            let o = row % self.outf;
-            let b = row / self.outf;
-            scratch.reset();
-            for i in 0..self.features {
-                let alevel = levels[b * self.features + i];
-                if alevel == 0 {
-                    continue;
-                }
-                let wref = &self.wrefs[o * self.features + i];
-                if wref.is_zero() {
-                    continue;
-                }
-                let astream = self.act_tables[i].stream(alevel)?;
-                accumulate(
-                    self.mode,
-                    astream.as_words(),
-                    wref,
-                    self.words,
-                    self.len,
-                    scratch,
-                );
-            }
-            chunk[0] = scratch.finish(self.mode, self.len)?;
-            Ok(())
         }
     }
 }
@@ -3052,15 +3060,8 @@ impl PreparedStep {
     /// a whole network or the training loop and
     /// [`ScEngine::forward_single_layer`] run one layer's unfused step.
     /// Pure compute against immutable prepared state: counters and phase
-    /// times go to `telemetry`'s blocks (pre-sized at prepare time), and
-    /// `reference` selects the pre-compaction kernels
-    /// ([`ScEngine::forward_reference`]).
-    fn run(
-        &self,
-        flow: Flow,
-        telemetry: &EngineTelemetry,
-        reference: bool,
-    ) -> Result<Flow, GeoError> {
+    /// times go to `telemetry`'s blocks (pre-sized at prepare time).
+    fn run(&self, flow: Flow, telemetry: &EngineTelemetry) -> Result<Flow, GeoError> {
         let near_mem = |tel_layer: &usize| telemetry.layer_shared(*tel_layer);
         Ok(match self {
             PreparedStep::Conv {
@@ -3070,15 +3071,7 @@ impl PreparedStep {
             } => {
                 let tel = telemetry.layer_shared(*param_layer as usize);
                 let batch = timed(tel, Phase::Convert, || layer.accept(flow))?;
-                timed(tel, Phase::Compute, || -> Result<_, GeoError> {
-                    Ok(if reference {
-                        // Reference models never level-chain (the chaining
-                        // pass is gated off), so `emit` is always `Float`.
-                        emit.apply(layer.compute_reference(&batch, tel)?)
-                    } else {
-                        layer.compute(&batch, tel, *emit)
-                    })
-                })?
+                timed(tel, Phase::Compute, || layer.compute(&batch, tel, *emit))
             }
             PreparedStep::ConvPooled {
                 layer,
@@ -3087,10 +3080,6 @@ impl PreparedStep {
                 relu,
                 emit,
             } => {
-                // Fusion is gated off for reference prepares
-                // (`ScEngine::forward_reference`), so the oracle always
-                // takes the unfused `Conv` + near-memory steps.
-                debug_assert!(!reference, "reference models never fuse");
                 let tel = telemetry.layer_shared(*param_layer as usize);
                 let batch = timed(tel, Phase::Convert, || layer.accept(flow))?;
                 timed(tel, Phase::Compute, || {
@@ -3113,13 +3102,7 @@ impl PreparedStep {
             } => {
                 let tel = telemetry.layer_shared(*param_layer as usize);
                 let batch = timed(tel, Phase::Convert, || layer.accept(flow))?;
-                timed(tel, Phase::Compute, || -> Result<_, GeoError> {
-                    Ok(if reference {
-                        emit.apply(layer.compute_reference(&batch, tel)?)
-                    } else {
-                        layer.compute(&batch, tel, *emit)
-                    })
-                })?
+                timed(tel, Phase::Compute, || layer.compute(&batch, tel, *emit))
             }
             PreparedStep::BatchNorm { affine, tel_layer } => {
                 let x = flow.into_float("batch norm")?;
@@ -3206,9 +3189,6 @@ pub struct PreparedModel {
     steps: Vec<PreparedStep>,
     telemetry: EngineTelemetry,
     resilience: ResilienceReport,
-    /// Run the pre-compaction reference kernels (set when prepared by a
-    /// [`ScEngine::forward_reference`] pass).
-    reference: bool,
 }
 
 impl PreparedModel {
@@ -3262,7 +3242,7 @@ impl PreparedModel {
         self.steps
             .iter()
             .try_fold(Flow::Float(input.clone()), |flow, step| {
-                step.run(flow, &self.telemetry, self.reference)
+                step.run(flow, &self.telemetry)
             })?
             // The chaining pass only assigns `Levels` when a downstream SC
             // consumer exists, so the network output is always a float
@@ -3294,6 +3274,22 @@ mod tests {
             PreparedStep::Conv { layer, .. } => layer,
             _ => unreachable!("a conv layer prepares to a conv step"),
         }
+    }
+
+    /// Resolves one layer at stream length 32 without compacting it: the
+    /// uncompacted lane list and table words compaction starts from.
+    fn resolve_one(eng: &mut ScEngine, layer: Layer, shape: &[usize]) -> Resolved {
+        let (mut tel, mut res) = (EngineTelemetry::default(), ResilienceReport::default());
+        eng.resolve_layer(&layer, shape, 32, 0, &mut tel, &mut res)
+            .unwrap()
+    }
+
+    /// Each row's nonzero lane indices in resolve order: the lanes
+    /// compaction must keep.
+    fn kept_lanes(r: &Resolved) -> Vec<usize> {
+        let per_row = r.act_tables.len();
+        let kept = r.lanes.iter().enumerate().filter(|(_, l)| !l.is_zero());
+        kept.map(|(i, _)| i % per_row).collect()
     }
 
     #[test]
@@ -3495,7 +3491,8 @@ mod tests {
         let mut eng = engine(GeoConfig::geo(32, 32));
         let rc = prepare_conv_one(&mut eng, &conv, &x);
         let k = conv.kernel();
-        for (p, &lane) in rc.compact.lane.iter().enumerate() {
+        let resolved = resolve_one(&mut eng, Layer::Conv2d(conv.clone()), x.shape());
+        for (p, &lane) in kept_lanes(&resolved).iter().enumerate() {
             assert_eq!(rc.compact.aoff[p] as usize, lane * rc.ow);
         }
         for lane in 0..rc.volume {
@@ -3506,12 +3503,13 @@ mod tests {
         let lin = geo_nn::Linear::new(12, 4, &mut rng);
         let xl = Tensor::full(&[2, 12], 0.5);
         let PreparedStep::Linear { layer: rl, .. } =
-            prepare_one(&mut eng, Layer::Linear(lin), xl.shape())
+            prepare_one(&mut eng, Layer::Linear(lin.clone()), xl.shape())
         else {
             unreachable!("a linear layer prepares to a linear step")
         };
         assert_eq!(rl.pos_ao.len(), rl.features);
-        for (p, &lane) in rl.compact.lane.iter().enumerate() {
+        let resolved = resolve_one(&mut eng, Layer::Linear(lin), xl.shape());
+        for (p, &lane) in kept_lanes(&resolved).iter().enumerate() {
             assert_eq!(rl.compact.aoff[p] as usize, lane);
         }
     }
@@ -3560,43 +3558,103 @@ mod tests {
         }
     }
 
+    /// Every accumulation mode under both generation modes.
+    fn all_mode_configs() -> impl Iterator<Item = GeoConfig> {
+        Accumulation::ALL.into_iter().flat_map(|mode| {
+            [false, true].map(|progressive| {
+                GeoConfig::geo(32, 32)
+                    .with_accumulation(mode)
+                    .with_progressive(progressive)
+            })
+        })
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn reference_matches_forward_under_faults() {
+        // The oracle resolves through the same table builds and fault
+        // draws as the prepared path, so outputs and fault counts agree.
+        let faults = FaultModel {
+            stream_ber: 0.02,
+            lfsr_stuck_rate: 0.1,
+            seed_corruption_rate: 0.1,
+            sram_word_ber: 0.01,
+            seed: 31,
+        };
+        let mut model = models::lenet5(1, 8, 10, 3);
+        let x = Tensor::full(&[2, 1, 8, 8], 0.37);
+        for cfg in all_mode_configs() {
+            let mut a = ScEngine::with_faults(cfg, faults).unwrap();
+            let mut b = ScEngine::with_faults(cfg, faults).unwrap();
+            let ya = a.forward(&mut model, &x, false).unwrap();
+            let yb = b.forward_reference(&mut model, &x, false).unwrap();
+            assert_eq!(bits(&ya), bits(&yb), "{cfg:?}");
+            assert_eq!(a.resilience_report(), b.resilience_report(), "{cfg:?}");
+            assert!(a.resilience_report().total.total() > 0, "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn reference_matches_forward_in_training_mode() {
+        let x = Tensor::full(&[2, 1, 8, 8], 0.37);
+        for cfg in all_mode_configs() {
+            let mut ma = models::lenet5(1, 8, 10, 3);
+            let mut mb = ma.clone();
+            let ya = engine(cfg).forward(&mut ma, &x, true).unwrap();
+            let yb = engine(cfg).forward_reference(&mut mb, &x, true).unwrap();
+            assert_eq!(bits(&ya), bits(&yb), "{cfg:?}");
+        }
+    }
+
     #[test]
     fn compact_kernel_drops_only_zero_lanes() {
-        // Every nonzero WeightRef appears in the compacted list, in
+        // Every nonzero resolved lane appears in the compacted list, in
         // resolve order, and every zero lane is gone.
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let conv = geo_nn::Conv2d::new(2, 3, 3, 1, 1, false, &mut rng);
         let x = Tensor::full(&[1, 2, 5, 5], 0.5);
         let mut eng = engine(GeoConfig::geo(32, 32));
-        // Reference resolve keeps per-lane word copies in the WeightRefs,
-        // giving this test an independent source of truth for the packed
-        // position-major layout.
-        eng.reference_kernels = true;
-        let resolved = prepare_conv_one(&mut eng, &conv, &x);
-        let ck = &resolved.compact;
-        let words = resolved.words;
-        let nonzero: usize = resolved.wrefs.iter().filter(|w| !w.is_zero()).count();
-        assert_eq!(ck.lane.len(), nonzero);
+        let prepared = prepare_conv_one(&mut eng, &conv, &x);
+        // The resolve's lane list and its tables' words are an independent
+        // source of truth for the packed position-major layout; each
+        // compacted lane's index is its gather offset over `ow`.
+        let resolved = resolve_one(&mut eng, Layer::Conv2d(conv.clone()), x.shape());
+        let ck = &prepared.compact;
+        let words = prepared.words;
+        let lane: Vec<usize> = ck.aoff.iter().map(|&a| a as usize / prepared.ow).collect();
+        let nonzero: usize = resolved.lanes.iter().filter(|w| !w.is_zero()).count();
+        assert_eq!(lane.len(), nonzero);
         assert_eq!(ck.offsets.len(), conv.cout() + 1);
         for co in 0..conv.cout() {
             let range = ck.row_range(co);
             let n = range.len();
             // Lane indices strictly ascend within a row (resolve order).
-            for pair in ck.lane[range.clone()].windows(2) {
+            for pair in lane[range.clone()].windows(2) {
                 assert!(pair[0] < pair[1]);
             }
             let (wp, wn) = (ck.row_pos(co), ck.row_neg(co));
             for (i, p) in range.clone().enumerate() {
-                let wref = &resolved.wrefs[co * resolved.volume + ck.lane[p]];
+                let wref = &resolved.lanes[co * prepared.volume + lane[p]];
                 assert!(!wref.is_zero());
                 assert_eq!(ck.flags[p] & 1 != 0, wref.pos > 0);
                 assert_eq!(ck.flags[p] & 2 != 0, wref.neg > 0);
                 // Words are position-major: word j of every lane in the
                 // row is contiguous, absent halves stored as zeros.
                 for j in 0..words {
-                    let want_pos = if wref.pos > 0 { wref.pos_words[j] } else { 0 };
-                    let want_neg = if wref.neg > 0 { wref.neg_words[j] } else { 0 };
+                    let want_pos = if wref.pos > 0 {
+                        wref.table.words(wref.pos)[j]
+                    } else {
+                        0
+                    };
+                    let want_neg = if wref.neg > 0 {
+                        wref.table.words(wref.neg)[j]
+                    } else {
+                        0
+                    };
                     assert_eq!(wp[j * n + i], want_pos, "co={co} lane {i} word {j}");
                     assert_eq!(wn[j * n + i], want_neg, "co={co} lane {i} word {j}");
                 }
