@@ -1,6 +1,7 @@
 //! GEO engine configuration.
 
 use crate::error::GeoError;
+use geo_sc::progressive::OPERAND_BITS;
 use geo_sc::{RngKind, SharingLevel, MAX_WIDTH, MIN_WIDTH};
 
 // The accumulation split is substrate-level vocabulary shared with
@@ -94,8 +95,9 @@ impl GeoConfig {
     /// # Errors
     ///
     /// Returns [`GeoError::InvalidConfig`] if a stream length is not a
-    /// power of two in the supported LFSR range, or BN bits are out of
-    /// range.
+    /// power of two in the supported LFSR range, needs a width above the
+    /// 8-bit operand buffer under progressive generation, or BN bits are
+    /// out of range.
     pub fn validate(&self) -> Result<(), GeoError> {
         for (name, len) in [
             ("stream_len_pooled", self.stream_len_pooled),
@@ -111,6 +113,12 @@ impl GeoConfig {
             if !(MIN_WIDTH..=MAX_WIDTH).contains(&width) {
                 return Err(GeoError::InvalidConfig(format!(
                     "{name} = {len} needs LFSR width {width}, outside {MIN_WIDTH}..={MAX_WIDTH}"
+                )));
+            }
+            if self.progressive && width > OPERAND_BITS {
+                return Err(GeoError::InvalidConfig(format!(
+                    "{name} = {len} needs LFSR width {width}, above the \
+                     {OPERAND_BITS}-bit progressive operand buffer"
                 )));
             }
         }
@@ -272,6 +280,18 @@ mod tests {
         assert!(c.validate().is_err());
         c.stream_len = 1 << 17;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn progressive_streams_stop_at_the_operand_buffer() {
+        // 256 cycles need width 8, the progressive buffer's limit; 512
+        // would read operand bits the buffer does not hold.
+        let mut c = GeoConfig::geo(32, 64);
+        c.output_stream_len = 256;
+        assert!(c.validate().is_ok());
+        c.output_stream_len = 512;
+        assert!(matches!(c.validate(), Err(GeoError::InvalidConfig(_))));
+        assert!(c.with_progressive(false).validate().is_ok());
     }
 
     #[test]

@@ -249,20 +249,26 @@ impl ResilienceReport {
 }
 
 /// One weight lane as the resolve leaves it: quantized split levels, the
-/// accumulator group the lane feeds, and the lane table its streams come
-/// from. Transient: compaction and the oracle read it, then drop it.
+/// accumulator group the lane feeds, and the index of the table its
+/// streams come from in [`Resolved::tables`]. Transient: compaction and
+/// the oracle read it, then drop it.
 struct WeightRef {
     pos: u32,
     neg: u32,
     group: usize,
-    table: LaneTable,
+    table: u32,
 }
 
 impl WeightRef {
-    /// Range-validates both split levels against `table` once, so every
-    /// later [`LaneTable::words`] read of them is in range.
-    fn new(table: LaneTable, (pos, neg): (u32, u32), group: usize) -> Result<Self, GeoError> {
-        table.stream(pos.max(neg))?;
+    /// Range-validates both split levels against `tables[table]` once, so
+    /// every later [`LaneTable::words`] read of them is in range.
+    fn new(
+        tables: &[LaneTable],
+        table: u32,
+        (pos, neg): (u32, u32),
+        group: usize,
+    ) -> Result<Self, GeoError> {
+        tables[table as usize].stream(pos.max(neg))?;
         Ok(WeightRef {
             pos,
             neg,
@@ -277,15 +283,51 @@ impl WeightRef {
     }
 }
 
+/// A layer's weight tables while its resolve runs: one per generator slot
+/// ([`SeedPlan::weight_slot`]) the layer uses, fetched through the cache
+/// on the slot's first use. First uses come in weight order, so the cache
+/// builds the same tables in the same order as one lookup per weight.
+#[derive(Default)]
+struct WeightTables {
+    /// Slot → index into `tables`; [`WeightTables::UNUSED`] until first use.
+    index: Vec<u32>,
+    tables: Vec<LaneTable>,
+}
+
+impl WeightTables {
+    const UNUSED: u32 = u32::MAX;
+
+    /// The index of `slot`'s table, calling `fetch` for it on first use.
+    #[inline]
+    fn index_of(
+        &mut self,
+        slot: usize,
+        fetch: impl FnOnce() -> Result<LaneTable, GeoError>,
+    ) -> Result<u32, GeoError> {
+        if slot >= self.index.len() {
+            self.index.resize(slot + 1, Self::UNUSED);
+        }
+        if self.index[slot] == Self::UNUSED {
+            // At most one table per slot, so the count stays below `UNUSED`.
+            self.index[slot] = self.tables.len() as u32;
+            self.tables.push(fetch()?);
+        }
+        Ok(self.index[slot])
+    }
+}
+
 /// One conv/linear layer as the resolve leaves it, before compaction: the
-/// activation lane tables and one [`WeightRef`] per weight, `rows` output
-/// channels/neurons of `act_tables.len()` lanes each, in resolve order.
+/// activation lane tables, the distinct weight tables, and one
+/// [`WeightRef`] per weight, `rows` output channels/neurons of
+/// `act_tables.len()` lanes each, in resolve order.
 struct Resolved {
     len: usize,
     /// Accumulator groups per output (partial binary accumulation).
     groups: usize,
     rows: usize,
     act_tables: Vec<LaneTable>,
+    /// The weight tables in first-use order; [`WeightRef::table`] indexes it.
+    tables: Vec<LaneTable>,
     lanes: Vec<WeightRef>,
 }
 
@@ -377,13 +419,14 @@ impl CompactKernel {
                     continue;
                 }
                 let aoff = (l * act_stride) as u32;
+                let table = &r.tables[wref.table as usize];
                 let pw = if wref.pos > 0 {
-                    wref.table.words(wref.pos)
+                    table.words(wref.pos)
                 } else {
                     empty
                 };
                 let nw = if wref.neg > 0 {
-                    wref.table.words(wref.neg)
+                    table.words(wref.neg)
                 } else {
                     empty
                 };
@@ -2382,7 +2425,8 @@ impl ScEngine {
 
     /// The resolve loop of a convolution (see [`Self::resolve_layer`]):
     /// one activation table per kernel position, then one [`WeightRef`]
-    /// per weight in `(co, ci, ky, kx)` order.
+    /// per weight in `(co, ci, ky, kx)` order, fetching each weight
+    /// generator's table on its first use.
     fn resolve_conv(
         &mut self,
         conv: &Conv2d,
@@ -2413,13 +2457,15 @@ impl ScEngine {
 
         // Weight lanes: per (kernel, position), with the accumulator group
         // each lane feeds precomputed from its kernel coordinates.
+        let mut weights = WeightTables::default();
         let mut lanes = Vec::with_capacity(cout * volume);
         for co in 0..cout {
             for ci in 0..cin {
                 for ky in 0..k {
                     for kx in 0..k {
-                        let spec = plan.weight_spec(co, ci, ky, kx);
-                        let table = self.lane_table(width, len, spec)?;
+                        let table = weights.index_of(plan.weight_slot(co, ci, ky, kx), || {
+                            self.lane_table(width, len, plan.weight_spec(co, ci, ky, kx))
+                        })?;
                         let levels =
                             self.weight_levels(conv.weight.value.at4(co, ci, ky, kx), width);
                         let group = match mode {
@@ -2427,7 +2473,7 @@ impl ScEngine {
                             Accumulation::Pbhw => ky * k + kx,
                             Accumulation::Or | Accumulation::Fxp | Accumulation::Apc => 0,
                         };
-                        lanes.push(WeightRef::new(table, levels, group)?);
+                        lanes.push(WeightRef::new(&weights.tables, table, levels, group)?);
                     }
                 }
             }
@@ -2443,6 +2489,7 @@ impl ScEngine {
             groups,
             rows: cout,
             act_tables,
+            tables: weights.tables,
             lanes,
         })
     }
@@ -2476,17 +2523,20 @@ impl ScEngine {
                 self.lane_table(width, len, spec)
             })
             .collect::<Result<_, _>>()?;
+        let mut weights = WeightTables::default();
         let mut lanes = Vec::with_capacity(outf * features);
         for o in 0..outf {
             for i in 0..features {
-                let spec = plan.weight_spec(o, i / wdim, 0, i % wdim);
-                let table = self.lane_table(width, len, spec)?;
+                let (ci, wi) = (i / wdim, i % wdim);
+                let table = weights.index_of(plan.weight_slot(o, ci, 0, wi), || {
+                    self.lane_table(width, len, plan.weight_spec(o, ci, 0, wi))
+                })?;
                 let levels = self.weight_levels(lin.weight.value.at2(o, i), width);
                 let group = match mode {
-                    Accumulation::Pbw | Accumulation::Pbhw => i % wdim,
+                    Accumulation::Pbw | Accumulation::Pbhw => wi,
                     Accumulation::Or | Accumulation::Fxp | Accumulation::Apc => 0,
                 };
-                lanes.push(WeightRef::new(table, levels, group)?);
+                lanes.push(WeightRef::new(&weights.tables, table, levels, group)?);
             }
         }
         let groups = match mode {
@@ -2499,6 +2549,7 @@ impl ScEngine {
             groups,
             rows: outf,
             act_tables,
+            tables: weights.tables,
             lanes,
         })
     }
@@ -2545,7 +2596,7 @@ mod reference {
         pub(super) fn new(r: Resolved, config: GeoConfig) -> RefLayer {
             let copy = |lane: &WeightRef, level: u32| match level {
                 0 => Vec::new(),
-                _ => lane.table.words(level).to_vec(),
+                _ => r.tables[lane.table as usize].words(level).to_vec(),
             };
             let lane_words = r.lanes.iter().map(|l| [copy(l, l.pos), copy(l, l.neg)]);
             RefLayer {
@@ -3645,13 +3696,14 @@ mod tests {
                 // Words are position-major: word j of every lane in the
                 // row is contiguous, absent halves stored as zeros.
                 for j in 0..words {
+                    let table = &resolved.tables[wref.table as usize];
                     let want_pos = if wref.pos > 0 {
-                        wref.table.words(wref.pos)[j]
+                        table.words(wref.pos)[j]
                     } else {
                         0
                     };
                     let want_neg = if wref.neg > 0 {
-                        wref.table.words(wref.neg)[j]
+                        table.words(wref.neg)[j]
                     } else {
                         0
                     };

@@ -6,6 +6,16 @@
 //! lookups. This mirrors the paper's "heavily optimized stream-based
 //! training" and is what makes SC-in-the-loop training tractable.
 //!
+//! A deterministic generator's table takes one draw of its sequence
+//! ([`StreamTable::new`]), and its progressive table is derived from that
+//! normal table: an operand's progressive stream differs from the normal
+//! stream of its truncated level only in the first
+//! [`first_exact_cycle`](progressive::first_exact_cycle) cycles, while its
+//! low bits are still loading, so only those cycles are recomputed, once
+//! per truncated level. A TRNG table keeps one fresh draw per level (per
+//! operand for progressive tables), because a TRNG's reset does not
+//! rewind its sequence.
+//!
 //! TRNG-backed tables are deliberately invalidated every pass
 //! ([`TableCache::begin_pass`]): true randomness has no reusable table,
 //! which is exactly why networks cannot train for it.
@@ -78,9 +88,16 @@ fn generator_domain(kind: RngKind, width: u8, spec: RngSpec) -> u64 {
 /// A value-indexed table of *progressively generated* streams: entry `v`
 /// holds the stream an SNG produces for the 8-bit operand `v` under the
 /// 2-bits-then-2-per-2-cycles fill schedule.
+///
+/// At width `w` an operand's stream depends on it only through its
+/// truncated level `v >> (8 − w)`, so a clean deterministic table stores
+/// one stream per level. A TRNG table, or one whose streams take
+/// transient faults, stores one per operand.
 #[derive(Debug, Clone)]
 pub struct ProgressiveTable {
     streams: Vec<Bitstream>,
+    /// Operand `v` reads `streams[v >> shift]`.
+    shift: u8,
 }
 
 // Like `StreamTable`, progressive tables are resolved serially and then
@@ -91,16 +108,61 @@ const _: () = {
 };
 
 impl ProgressiveTable {
+    /// The stream [`ProgressiveSng::generate`] makes for every operand.
+    /// For a deterministic `rng`, a truncated level's stream is the
+    /// normal table's stream for that level with the first
+    /// `first_exact_cycle` cycles recomputed, since low operand bits are
+    /// still loading there; a TRNG draws afresh for each operand. `rng`
+    /// must be at most [`OPERAND_BITS`](progressive::OPERAND_BITS) wide.
     fn new(len: usize, rng: &mut dyn StreamRng) -> Self {
-        let streams = (0..=255u8)
-            .map(|v| ProgressiveSng::new(v).generate(len, rng))
+        if !rng.is_deterministic() {
+            let streams = (0..=255u8)
+                .map(|v| ProgressiveSng::new(v).generate(len, rng))
+                .collect();
+            return ProgressiveTable { streams, shift: 0 };
+        }
+        let width = rng.width();
+        let normal = StreamTable::new(len, rng);
+        rng.reset();
+        // The recomputed cycles all sit in the first word.
+        let exact_from = (progressive::first_exact_cycle(width) as usize).min(len);
+        let head: Vec<u32> = (0..exact_from).map(|_| rng.next_value()).collect();
+        let head_mask = (1u64 << exact_from) - 1;
+        let shift = progressive::OPERAND_BITS - width;
+        let streams = (0..1u32 << width)
+            .map(|level| {
+                // The lowest operand with this truncated level.
+                let operand = (level << shift) as u8;
+                let mut words = normal.words(level).to_vec();
+                if let Some(first) = words.first_mut() {
+                    let bits = head.iter().enumerate().fold(0u64, |bits, (t, &r)| {
+                        let on = r < progressive::effective_level(operand, width, t as u32);
+                        bits | u64::from(on) << t
+                    });
+                    *first = (*first & !head_mask) | bits;
+                }
+                Bitstream::from_words(words, len)
+            })
             .collect();
-        ProgressiveTable { streams }
+        ProgressiveTable { streams, shift }
+    }
+
+    /// One stream per operand, copying shared streams apart first, so that
+    /// each operand's stream can take faults of its own.
+    fn operand_streams_mut(&mut self) -> &mut [Bitstream] {
+        if self.shift > 0 {
+            let shift = self.shift;
+            self.streams = (0..=255u8)
+                .map(|v| self.streams[usize::from(v >> shift)].clone())
+                .collect();
+            self.shift = 0;
+        }
+        &mut self.streams
     }
 
     /// Stream for the 8-bit operand `value`.
     pub fn stream(&self, value: u8) -> &Bitstream {
-        &self.streams[value as usize]
+        &self.streams[usize::from(value >> self.shift)]
     }
 
     /// The packed 64-bit words of the stream for `value` — the direct
@@ -108,7 +170,7 @@ impl ProgressiveTable {
     /// wrapper.
     #[inline]
     pub fn words(&self, value: u8) -> &[u64] {
-        self.streams[value as usize].as_words()
+        self.stream(value).as_words()
     }
 
     /// Stream for a real value `x ∈ [0, 1]` (quantized to 8 bits,
@@ -260,7 +322,9 @@ impl TableCache {
     ///
     /// # Errors
     ///
-    /// Returns [`GeoError::Sc`] if the generator cannot be built at `width`.
+    /// Returns [`GeoError::InvalidConfig`] if `width` exceeds the 8-bit
+    /// progressive operand buffer, and [`GeoError::Sc`] if the generator
+    /// cannot be built at `width`.
     pub fn progressive(
         &mut self,
         kind: RngKind,
@@ -268,6 +332,12 @@ impl TableCache {
         len: usize,
         spec: RngSpec,
     ) -> Result<Arc<ProgressiveTable>, GeoError> {
+        if width > progressive::OPERAND_BITS {
+            return Err(GeoError::InvalidConfig(format!(
+                "progressive generation at width {width} exceeds the {}-bit operand buffer",
+                progressive::OPERAND_BITS
+            )));
+        }
         let key = TableKey { kind, width, spec };
         if let Some(t) = self.progressive.get(&key) {
             self.hits.incr();
@@ -276,9 +346,9 @@ impl TableCache {
         self.misses.incr();
         let mut rng = self.build_faulty_rng(kind, width, spec)?;
         let mut table = ProgressiveTable::new(len, rng.as_mut());
-        if let Some(inj) = self.faults.as_mut() {
+        if let Some(inj) = self.faults.as_mut().filter(|f| f.model().has_transient()) {
             let dom = generator_domain(kind, width, spec);
-            for (level, bs) in table.streams.iter_mut().enumerate() {
+            for (level, bs) in table.operand_streams_mut().iter_mut().enumerate() {
                 inj.corrupt_level(dom, level as u32, bs);
             }
         }
@@ -364,6 +434,70 @@ mod tests {
         assert!(!cache.is_empty());
     }
 
+    /// Asserts that `table` holds, for every operand, the stream
+    /// [`ProgressiveSng::generate`] makes from `rng`.
+    fn assert_per_operand(table: &ProgressiveTable, rng: &mut dyn StreamRng, what: &str) {
+        for v in 0..=255u8 {
+            let direct = ProgressiveSng::new(v).generate(table.stream(0).len(), rng);
+            assert_eq!(table.stream(v), &direct, "{what} operand {v}");
+        }
+    }
+
+    #[test]
+    fn derived_progressive_tables_equal_per_operand_generation() {
+        // Lengths include one too short to finish loading an operand and
+        // ones off the powers of two.
+        for width in geo_sc::MIN_WIDTH..=progressive::OPERAND_BITS {
+            let exact_from = progressive::first_exact_cycle(width) as usize;
+            for len in [exact_from - 1, exact_from + 3, 100, 1 << width, 300] {
+                for poly in 0..2 {
+                    for seed in [1u32, 977] {
+                        for stuck in [0u32, 0b101 << (width - 3)] {
+                            let lfsr = geo_sc::Lfsr::with_polynomial(width, poly, seed).unwrap();
+                            let mut rng = StuckAtRng::new(Box::new(lfsr), stuck);
+                            let table = ProgressiveTable::new(len, &mut rng);
+                            let what = format!(
+                                "w{width} len {len} poly {poly} seed {seed} stuck {stuck:#b}"
+                            );
+                            assert_per_operand(&table, &mut rng, &what);
+                        }
+                    }
+                }
+                let mut sobol = geo_sc::SobolRng::new(width, 5);
+                let table = ProgressiveTable::new(len, &mut sobol);
+                assert_per_operand(&table, &mut sobol, &format!("sobol w{width} len {len}"));
+            }
+        }
+    }
+
+    #[test]
+    fn transient_faults_corrupt_each_progressive_operand_on_its_own() {
+        // Operands that share a clean stream still take their own upsets:
+        // the faulty table equals a per-operand copy of the clean one,
+        // corrupted operand by operand.
+        let model = FaultModel::with_stream_ber(0.05, 11);
+        let mut faulty = TableCache::new();
+        faulty.set_faults(Some(FaultInjector::new(model).unwrap()));
+        let corrupted = faulty.progressive(RngKind::Lfsr, 5, 32, SPEC).unwrap();
+        let clean = TableCache::new()
+            .progressive(RngKind::Lfsr, 5, 32, SPEC)
+            .unwrap();
+        let mut inj = FaultInjector::new(model).unwrap();
+        let dom = generator_domain(RngKind::Lfsr, 5, SPEC);
+        for v in 0..=255u8 {
+            let mut want = clean.stream(v).clone();
+            inj.corrupt_level(dom, u32::from(v), &mut want);
+            assert_eq!(corrupted.stream(v), &want, "operand {v}");
+        }
+        assert_eq!(faulty.fault_counters(), inj.counters());
+    }
+
+    #[test]
+    fn trng_progressive_tables_keep_a_fresh_draw_per_operand() {
+        let table = ProgressiveTable::new(100, &mut geo_sc::TrngRng::new(7, 21));
+        assert_per_operand(&table, &mut geo_sc::TrngRng::new(7, 21), "trng");
+    }
+
     #[test]
     fn progressive_stream_for_quantizes_and_saturates() {
         let mut cache = TableCache::new();
@@ -378,6 +512,7 @@ mod tests {
         let mut cache = TableCache::new();
         assert!(cache.regular(RngKind::Lfsr, 2, 4, SPEC).is_err());
         assert!(cache.progressive(RngKind::Lfsr, 40, 16, SPEC).is_err());
+        assert!(cache.progressive(RngKind::Lfsr, 9, 512, SPEC).is_err());
     }
 
     #[test]

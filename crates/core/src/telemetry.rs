@@ -21,7 +21,7 @@
 //! | `macs` | one multiply-accumulate is folded into an accumulator (a lane survived every skip test: padding bounds, zero activation, zero weight). Equal between the compacted and reference kernels by construction. |
 //! | `compacted_lanes` | a nonzero weight lane is kept by resolve-time compaction |
 //! | `skipped_zero_lanes` | a zero-split weight lane is dropped by compaction |
-//! | `table_hits` / `table_misses` | a stream-table lookup is served from / misses the [`TableCache`](crate::TableCache) |
+//! | `table_hits` / `table_misses` | a stream-table lookup is served from / misses the [`TableCache`](crate::TableCache). A layer looks up one table per activation lane and one per distinct weight generator ([`SeedPlan::weight_slot`](geo_sc::SeedPlan::weight_slot)), not one per weight, so hits + misses is the lane count plus the weight-slot count. |
 //! | `fault_events` | a fault is injected while the layer's tables are built |
 //! | `pingpong_bytes` | bytes the compiled program moves through the ping-pong (double-buffered) weight/activation banks for the layer — filled in from `geo_arch::perfsim::memory_traffic` by [`ProgramExecutor`](crate::ProgramExecutor) |
 //! | `conversions_skipped` | full-resolution normalize/convert operations the fused conv→pool step avoided (§III-A computation skipping): per pass, `n·cout·(oh·ow − poh·pow)` for each fused layer. Incremented at a serial point, so thread-count-invariant like every other counter. Zero on unfused layers. |

@@ -12,12 +12,14 @@
 #![cfg(feature = "telemetry")]
 
 use geo_core::telemetry::LayerTelemetry;
-use geo_core::{Accumulation, GeoConfig, ScEngine};
-use geo_nn::{models, Sequential, Tensor};
+use geo_core::{Accumulation, GeoConfig, ScEngine, FC_BINARY_WIDTH};
+use geo_nn::{models, Layer, Sequential, Tensor};
+use geo_sc::{KernelDims, SeedPlan, SharingLevel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::ThreadPoolBuilder;
+use std::collections::HashSet;
 
 #[derive(Debug, Clone, Copy)]
 enum Net {
@@ -200,5 +202,91 @@ fn mac_and_lane_totals_match_reference_kernels() {
                 );
             }
         }
+    }
+}
+
+/// Table lookups and table builds per parametrized layer, after one
+/// inference forward on a fresh engine.
+fn lookups_and_misses(cfg: GeoConfig, net: Net) -> (Vec<u64>, Vec<u64>) {
+    let layers = layer_telemetry(1, cfg, net, 3, false);
+    let lookups = layers.iter().map(|l| l.table_hits + l.table_misses);
+    let misses = layers.iter().map(|l| l.table_misses);
+    (lookups.collect(), misses.collect())
+}
+
+/// One stream-table lookup per activation lane plus one per distinct
+/// weight generator slot (`SeedPlan::weight_slot`), not one per weight,
+/// under every sharing level.
+#[test]
+fn tables_are_looked_up_once_per_lane_and_weight_generator() {
+    for net in NETS {
+        for sharing in SharingLevel::ALL {
+            let cfg = GeoConfig::geo(32, 64).with_sharing(sharing);
+            let model = net.model(3);
+            let plan = ScEngine::new(cfg)
+                .expect("valid test config")
+                .stream_plan(&model);
+            let expected: Vec<u64> = model
+                .layers()
+                .iter()
+                .zip(plan)
+                .filter_map(|(layer, len)| {
+                    let width = GeoConfig::width_for(len?);
+                    let (lanes, slots) = match layer {
+                        Layer::Conv2d(conv) => {
+                            let (cout, cin, k) = (conv.cout(), conv.cin(), conv.kernel());
+                            let plan =
+                                SeedPlan::new(sharing, width, 0, KernelDims::new(cout, cin, k, k));
+                            let mut slots = HashSet::new();
+                            for co in 0..cout {
+                                for ci in 0..cin {
+                                    for ky in 0..k {
+                                        for kx in 0..k {
+                                            slots.insert(plan.weight_slot(co, ci, ky, kx));
+                                        }
+                                    }
+                                }
+                            }
+                            (cin * k * k, slots.len())
+                        }
+                        Layer::Linear(lin) => {
+                            let (features, outf) = (lin.input_features(), lin.output_features());
+                            let wdim = FC_BINARY_WIDTH.min(features);
+                            let dims = KernelDims::new(outf, features.div_ceil(wdim), 1, wdim);
+                            let plan = SeedPlan::new(sharing, width, 0, dims);
+                            let slots: HashSet<usize> = (0..outf)
+                                .flat_map(|o| (0..features).map(move |i| (o, i)))
+                                .map(|(o, i)| plan.weight_slot(o, i / wdim, 0, i % wdim))
+                                .collect();
+                            (features, slots.len())
+                        }
+                        _ => return None,
+                    };
+                    Some((lanes + slots) as u64)
+                })
+                .collect();
+            let (lookups, _) = lookups_and_misses(cfg, net);
+            assert_eq!(lookups, expected, "{net:?} {sharing:?}");
+        }
+    }
+}
+
+/// Fetching each weight generator's table on its first use builds the
+/// same tables as one lookup per weight: per-layer table builds at
+/// GEO-32,64 equal the counts recorded with a lookup for every weight.
+#[test]
+fn table_builds_match_the_per_weight_resolve() {
+    let recorded: [(Net, SharingLevel, [u64; 4]); 6] = [
+        (Net::Lenet5, SharingLevel::None, [56, 62, 126, 254]),
+        (Net::Lenet5, SharingLevel::Moderate, [18, 62, 96, 64]),
+        (Net::Lenet5, SharingLevel::Extreme, [12, 54, 56, 40]),
+        (Net::Cnn4, SharingLevel::None, [62, 62, 126, 254]),
+        (Net::Cnn4, SharingLevel::Moderate, [54, 62, 126, 254]),
+        (Net::Cnn4, SharingLevel::Extreme, [30, 62, 126, 136]),
+    ];
+    for (net, sharing, misses) in recorded {
+        let cfg = GeoConfig::geo(32, 64).with_sharing(sharing);
+        let (_, built) = lookups_and_misses(cfg, net);
+        assert_eq!(built, misses, "{net:?} {sharing:?}");
     }
 }

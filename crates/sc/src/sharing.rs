@@ -167,9 +167,32 @@ impl SeedPlan {
         }
     }
 
+    /// Generator slot of the weight at `(cout, cin, h, w)`: its seed-space
+    /// index modulo the number of distinct generators at the plan's width
+    /// ([`unique_generators`]), where the plan wraps. Two weights share a
+    /// [`weight_spec`](Self::weight_spec) exactly when they share a slot,
+    /// so a layer needs one stream table per distinct slot.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use geo_sc::sharing::{unique_generators, KernelDims, SeedPlan, SharingLevel};
+    ///
+    /// // 3-bit width: 14 generators, so position 14 wraps onto slot 0.
+    /// let plan = SeedPlan::new(SharingLevel::Moderate, 3, 0, KernelDims::new(2, 1, 1, 16));
+    /// assert_eq!(unique_generators(3), 14);
+    /// assert_eq!(plan.weight_slot(1, 0, 0, 14), 0);
+    /// assert_eq!(plan.weight_spec(1, 0, 0, 14), plan.weight_spec(0, 0, 0, 0));
+    /// ```
+    pub fn weight_slot(&self, cout: usize, cin: usize, h: usize, w: usize) -> usize {
+        let period = (1usize << self.width) - 1;
+        let generators = period * polynomial_count(self.width).max(1);
+        self.weight_index(cout, cin, h, w) % generators
+    }
+
     /// Generator identity for the weight at `(cout, cin, h, w)`.
     pub fn weight_spec(&self, cout: usize, cin: usize, h: usize, w: usize) -> RngSpec {
-        self.spec_for_index(self.weight_index(cout, cin, h, w))
+        self.spec_for_index(self.weight_slot(cout, cin, h, w))
     }
 
     /// Generator identity for activation broadcast lane `lane`.
@@ -270,6 +293,35 @@ mod tests {
         // Index 14 wraps entirely.
         let c = plan.weight_spec(0, 0, 1, 4);
         assert_eq!(a, c);
+    }
+
+    #[test]
+    fn weight_slots_name_exactly_the_distinct_specs() {
+        // Same slot ⇔ same spec, and the plan's distinct-generator count
+        // is its number of slots, at every sharing level, including plans
+        // that wrap (width 3) and ones that do not (width 8).
+        for level in SharingLevel::ALL {
+            for width in [3u8, 8] {
+                let plan = SeedPlan::new(level, width, 9, dims());
+                let mut by_slot = std::collections::HashMap::new();
+                let mut specs = std::collections::HashSet::new();
+                for co in 0..4 {
+                    for ci in 0..3 {
+                        for h in 0..5 {
+                            for w in 0..5 {
+                                let slot = plan.weight_slot(co, ci, h, w);
+                                let spec = plan.weight_spec(co, ci, h, w);
+                                assert!(slot < unique_generators(width));
+                                assert_eq!(*by_slot.entry(slot).or_insert(spec), spec);
+                                specs.insert(spec);
+                            }
+                        }
+                    }
+                }
+                assert_eq!(by_slot.len(), specs.len(), "{level:?} width {width}");
+                assert_eq!(by_slot.len(), plan.distinct_weight_generators());
+            }
+        }
     }
 
     #[test]

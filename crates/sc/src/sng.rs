@@ -5,6 +5,16 @@
 //! every cycle where `rng() < q`. With a maximal-length LFSR of width `w`
 //! and `L = 2^w`, the ones count is exact to within one bit — the "almost
 //! accurate generation" of paper §II-A.
+//!
+//! A [`StreamTable`] holds one generator's stream for every level. When the
+//! generator is deterministic (an LFSR or Sobol sequence, with or without
+//! stuck taps), every level compares the same sequence `r_0..r_{L-1}`
+//! against a different target, so the whole table is a function of a
+//! single draw: level `l` is level `l − 1` plus the cycles where
+//! `r_t = l − 1`. The table is built from that one draw, the software form
+//! of a parallel bitstream generator that compares one random sequence
+//! against many targets at once. A TRNG's `reset` does not rewind, so each
+//! of its levels keeps a fresh draw of its own.
 
 use crate::bitstream::Bitstream;
 use crate::encode::{quantize_unipolar, SplitStream, SplitValue};
@@ -78,15 +88,25 @@ const _: () = {
 
 impl StreamTable {
     /// Precomputes streams of `len` cycles for every level `0..=2^w` of
-    /// `rng` (which is reset before each level).
+    /// `rng`: level `l` holds the stream [`generate_stream`] draws for `l`
+    /// right after `rng.reset()`.
+    ///
+    /// A deterministic `rng` ([`StreamRng::is_deterministic`]) is reset
+    /// and drawn once, in O(len + levels·words); any other source is reset
+    /// and drawn again for each level.
     pub fn new(len: usize, rng: &mut dyn StreamRng) -> Self {
         let width = rng.width();
         let levels = (1usize << width) + 1;
-        let mut streams = Vec::with_capacity(levels);
-        for level in 0..levels as u32 {
-            rng.reset();
-            streams.push(generate_stream(level, len, rng));
-        }
+        let streams = if rng.is_deterministic() {
+            levels_from_one_draw(len, levels, rng)
+        } else {
+            (0..levels as u32)
+                .map(|level| {
+                    rng.reset();
+                    generate_stream(level, len, rng)
+                })
+                .collect()
+        };
         StreamTable {
             len,
             width,
@@ -147,11 +167,116 @@ impl StreamTable {
     }
 }
 
+/// All `levels` streams of a deterministic `rng` from one reset and one
+/// draw of `len` values. Each cycle is first marked in the level just
+/// above its draw `r_t`, the lowest level whose target exceeds it (a draw
+/// at or above the top target is marked nowhere); ORing every level into
+/// the next then makes level `l` level `l − 1` plus the cycles where
+/// `r_t = l − 1`, a word at a time.
+fn levels_from_one_draw(len: usize, levels: usize, rng: &mut dyn StreamRng) -> Vec<Bitstream> {
+    rng.reset();
+    let mut table = vec![vec![0u64; len.div_ceil(64)]; levels];
+    for t in 0..len {
+        let first_on = rng.next_value() as usize + 1;
+        if let Some(words) = table.get_mut(first_on) {
+            words[t / 64] |= 1u64 << (t % 64);
+        }
+    }
+    for level in 1..levels {
+        let (below, rest) = table.split_at_mut(level);
+        for (word, &under) in rest[0].iter_mut().zip(&below[level - 1]) {
+            *word |= under;
+        }
+    }
+    table
+        .into_iter()
+        .map(|words| Bitstream::from_words(words, len))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lfsr::Lfsr;
+    use crate::fault::StuckAtRng;
+    use crate::lfsr::{Lfsr, MAX_WIDTH, MIN_WIDTH};
+    use crate::progressive::first_exact_cycle;
     use crate::rng::{SobolRng, TrngRng};
+
+    /// Asserts that `table` holds, at each of `levels`, the stream a reset
+    /// of `rng` followed by a per-level draw generates.
+    fn assert_per_level(table: &StreamTable, rng: &mut dyn StreamRng, levels: &[u32], what: &str) {
+        assert_eq!(table.levels(), (1u32 << rng.width()) + 1, "{what}");
+        for &level in levels {
+            rng.reset();
+            let direct = generate_stream(level, table.len(), rng);
+            assert_eq!(table.stream(level), &direct, "{what} level {level}");
+        }
+    }
+
+    #[test]
+    fn one_draw_tables_equal_per_level_generation() {
+        // Every deterministic source the engine builds: both LFSR
+        // polynomials at several seeds, with and without stuck taps, and
+        // the Sobol sequence; lengths off the powers of two, down to
+        // fewer cycles than progressive loading takes.
+        for width in MIN_WIDTH..=MAX_WIDTH {
+            let top = 1u32 << width;
+            // Every level up to width 10, a spread of them above.
+            let levels: Vec<u32> = if width <= 10 {
+                (0..=top).collect()
+            } else {
+                (0..=32)
+                    .map(|i| i * (top / 32))
+                    .chain([1, top - 1])
+                    .collect()
+            };
+            let period = (1usize << width).min(1024);
+            let short = first_exact_cycle(width) as usize - 1;
+            for len in [short, 100, period, period + 37] {
+                for poly in 0..2 {
+                    for seed in [1u32, 977] {
+                        for stuck in [0u32, 0b101 << (width - 3)] {
+                            let lfsr = Lfsr::with_polynomial(width, poly, seed).unwrap();
+                            let mut rng: Box<dyn StreamRng> = if stuck == 0 {
+                                Box::new(lfsr)
+                            } else {
+                                Box::new(StuckAtRng::new(Box::new(lfsr), stuck))
+                            };
+                            let table = StreamTable::new(len, rng.as_mut());
+                            let what = format!(
+                                "w{width} len {len} poly {poly} seed {seed} stuck {stuck:#b}"
+                            );
+                            assert_per_level(&table, rng.as_mut(), &levels, &what);
+                        }
+                    }
+                }
+                let mut sobol = SobolRng::new(width, 5);
+                let table = StreamTable::new(len, &mut sobol);
+                assert_per_level(
+                    &table,
+                    &mut sobol,
+                    &levels,
+                    &format!("sobol w{width} len {len}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn trng_tables_keep_a_fresh_draw_per_level() {
+        // A TRNG's reset does not rewind, so its table is one draw per
+        // level: exactly what per-level generation from a fresh TRNG with
+        // the same seed yields, and not a single shared draw.
+        let table = StreamTable::new(100, &mut TrngRng::new(6, 21));
+        let mut fresh = TrngRng::new(6, 21);
+        for level in 0..=64u32 {
+            fresh.reset();
+            assert_eq!(
+                table.stream(level),
+                &generate_stream(level, 100, &mut fresh)
+            );
+        }
+    }
 
     #[test]
     fn lfsr_generation_is_near_exact_over_full_period() {
