@@ -21,12 +21,10 @@
 //! (`RAYON_NUM_THREADS` honored); `GEO_SKIP_HEAVY_TESTS=1` or `--smoke`
 //! selects a minimal workload that still covers every cell.
 //!
-//! Built with the `telemetry` feature, the run additionally captures
-//! one program-driven pass per (workload × accumulation mode), prints a
-//! per-run attribution table, and writes
-//! `results/telemetry_<scale>.json` (`geo_bench::telemetry`,
-//! DESIGN.md §12). Passing `--telemetry` to a feature-less build is an
-//! error instead of a silently missing artifact.
+//! Passing `--telemetry` additionally captures one program-driven pass
+//! per (workload × accumulation mode), prints a per-run attribution
+//! table, and writes `results/telemetry_<scale>.json`
+//! (`geo_bench::telemetry`, DESIGN.md §12).
 //!
 //! Passing `--serve` additionally measures the compile-once, serve-many
 //! path (DESIGN.md §15): each workload is prepared once into an
@@ -979,21 +977,11 @@ fn main() -> ExitCode {
         }
     }
 
-    // Telemetry artifact: requires the counters to be live, i.e. the
-    // `telemetry` cargo feature. `--telemetry` on a feature-less build is
-    // an error rather than a silently empty artifact.
-    let telemetry_requested = std::env::args().any(|a| a == "--telemetry");
-    if geo_core::telemetry::enabled() {
+    if args.iter().any(|a| a == "--telemetry") {
         if let Err(e) = emit_telemetry(&workloads, base, sizing, threads) {
             eprintln!("bench_forward: {e}");
             return ExitCode::FAILURE;
         }
-    } else if telemetry_requested {
-        eprintln!(
-            "bench_forward: --telemetry requires a build with the telemetry feature \
-             (cargo run --release -p geo-bench --features telemetry --bin bench_forward)"
-        );
-        return ExitCode::FAILURE;
     }
 
     println!("BIT_IDENTICAL_ACROSS_ALL_CELLS");

@@ -1,10 +1,10 @@
 //! Telemetry artifacts: `results/telemetry_<scale>.json`.
 //!
-//! `bench_forward` (with the `telemetry` feature enabled) captures one
-//! [`TelemetryReport`] per workload run and composes them into a single
-//! artifact in the `geo-perf-trajectory-v1` envelope with
-//! `"bench": "telemetry"` — the same envelope the timing trajectory
-//! uses, so downstream tooling can dispatch on `schema`/`bench` alone.
+//! `bench_forward --telemetry` captures one [`TelemetryReport`] per
+//! workload run and composes them into a single artifact in the
+//! `geo-perf-trajectory-v1` envelope with `"bench": "telemetry"` — the
+//! same envelope the timing trajectory uses, so downstream tooling can
+//! dispatch on `schema`/`bench` alone.
 //! This module owns the multi-run composition, the strict re-parse, and
 //! the validation CI runs against the emitted file.
 //!

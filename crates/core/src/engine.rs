@@ -77,12 +77,13 @@
 use crate::config::{Accumulation, GeoConfig};
 use crate::error::GeoError;
 use crate::tables::{ProgressiveTable, TableCache};
-use crate::telemetry::{self, EngineTelemetry, LayerCounters, Phase, Stopwatch, TelemetryReport};
+use crate::telemetry::{EngineTelemetry, LayerCounters, Phase, TelemetryReport};
 use geo_nn::{Conv2d, Layer, Linear, Sequential, Tensor};
 use geo_sc::fault::{FaultCounters, FaultInjector, FaultModel};
 use geo_sc::{quantize_unipolar, Bitstream, KernelDims, RngSpec, SeedPlan, StreamTable};
 use rayon::prelude::*;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Array width assumed when mapping fully-connected layers onto the MAC
 /// fabric: features fill a pseudo-kernel of this W dimension, so partial
@@ -329,6 +330,8 @@ struct Resolved {
     /// The weight tables in first-use order; [`WeightRef::table`] indexes it.
     tables: Vec<LaneTable>,
     lanes: Vec<WeightRef>,
+    /// How many of `lanes` are nonzero (counted as the resolve pushes them).
+    kept: usize,
 }
 
 /// Sparsity-compacted weight lanes for a whole layer, in
@@ -381,6 +384,11 @@ struct CompactKernel {
     neg_aoff: Vec<u32>,
     neg_w: Vec<u64>,
     neg_offsets: Vec<usize>,
+    /// Per lane index (kernel position or input feature), the number of
+    /// rows whose list keeps it: a live unit of lane `l` is folded
+    /// `lane_rows[l]` times, which is how MACs are counted without walking
+    /// the lane lists (see [`ActBatch::macs`]).
+    lane_rows: Vec<u64>,
 }
 
 impl CompactKernel {
@@ -391,13 +399,12 @@ impl CompactKernel {
     fn build(r: &Resolved, act_stride: usize) -> CompactKernel {
         let (rows, lanes_per_row) = (r.rows, r.act_tables.len());
         let words = r.len.div_ceil(64);
-        let nonzero = r.lanes.iter().filter(|w| !w.is_zero()).count();
         let mut k = CompactKernel {
-            aoff: Vec::with_capacity(nonzero),
-            group: Vec::with_capacity(nonzero),
-            flags: Vec::with_capacity(nonzero),
+            aoff: Vec::with_capacity(r.kept),
+            group: Vec::with_capacity(r.kept),
+            flags: Vec::with_capacity(r.kept),
             offsets: Vec::with_capacity(rows + 1),
-            words_buf: Vec::with_capacity(nonzero * 2 * words),
+            words_buf: Vec::with_capacity(r.kept * 2 * words),
             words,
             pos_aoff: Vec::new(),
             pos_w: Vec::new(),
@@ -405,6 +412,7 @@ impl CompactKernel {
             neg_aoff: Vec::new(),
             neg_w: Vec::new(),
             neg_offsets: Vec::with_capacity(rows + 1),
+            lane_rows: vec![0; lanes_per_row],
         };
         k.offsets.push(0);
         k.pos_offsets.push(0);
@@ -418,6 +426,7 @@ impl CompactKernel {
                 if wref.is_zero() {
                     continue;
                 }
+                k.lane_rows[l] += 1;
                 let aoff = (l * act_stride) as u32;
                 let table = &r.tables[wref.table as usize];
                 let pw = if wref.pos > 0 {
@@ -555,6 +564,10 @@ struct PreparedConv {
     /// Flat activation-table offset per kernel position
     /// ([`flatten_act_tables`]).
     pos_ao: Vec<u32>,
+    /// Per input element `(ci, iy, ix)` of one batch item, the MACs a
+    /// nonzero level there feeds ([`ActBatch::macs`]): one per output
+    /// pixel reading it through kernel position `l`, times `lane_rows[l]`.
+    mac_weights: Vec<u64>,
     /// Per-worker scratch buffers, pooled across requests (serve path).
     scratch: ScratchPool,
 }
@@ -594,6 +607,17 @@ struct ActBatch {
     n: usize,
     /// Quantized activation levels, input-tensor order.
     levels: Vec<u32>,
+}
+
+impl ActBatch {
+    /// The MACs a layer folds on this batch, when a nonzero level at
+    /// element `i` of a batch item is folded `weights[i]` times (zero
+    /// levels are skipped by every mode kernel).
+    fn macs(&self, weights: &[u64]) -> u64 {
+        let live = |(&lv, &w): (&u32, &u64)| w & u64::from(lv != 0).wrapping_neg();
+        let item = |lv: &[u32]| lv.iter().zip(weights).map(live).sum::<u64>();
+        self.levels.chunks(weights.len().max(1)).map(item).sum()
+    }
 }
 
 /// Quantized activation level for table lookup.
@@ -763,8 +787,7 @@ struct ActBuf {
     /// unit (`acts[u·words + j]`), zeroed for skipped (level-0 or
     /// out-of-bounds) units.
     acts: Vec<u64>,
-    /// Per-unit nonzero-activation flags (0/1) — APC gating and MAC
-    /// telemetry.
+    /// Per-unit nonzero-activation flags (0/1) — APC gating.
     nz: Vec<u8>,
     /// Per-output-column count of zero (level-0 or out-of-bounds) units
     /// across every kernel position (conv: `ow` entries; linear: one).
@@ -794,10 +817,6 @@ struct PixelBuf {
     /// Grouped accumulators (`groups·words`), Pbw/Pbhw (and multiword Or).
     acc_pos: Vec<u64>,
     acc_neg: Vec<u64>,
-    /// MACs folded since the last telemetry flush. Local (non-atomic) so
-    /// the hot loop pays one integer add per pixel; flushed to the
-    /// layer's shared counter once per output row.
-    macs: u64,
 }
 
 impl PixelBuf {
@@ -807,7 +826,6 @@ impl PixelBuf {
             prod_neg: vec![0u64; max_row_lanes * words],
             acc_pos: vec![0u64; groups * words],
             acc_neg: vec![0u64; groups * words],
-            macs: 0,
         }
     }
 }
@@ -1263,14 +1281,27 @@ impl PreparedConv {
             )));
         }
         let compact = CompactKernel::build(&r, ow);
+        let (stride, pad) = (conv.stride(), conv.padding());
         let mut pos_ci = Vec::with_capacity(volume);
         let mut pos_ky = Vec::with_capacity(volume);
         let mut pos_kx = Vec::with_capacity(volume);
-        for lane in 0..volume {
+        // Output coordinate `o` reads input `o·stride + kpos − pad` at kernel
+        // offset `kpos`, when that lies inside `0..n`.
+        let inside = |o: usize, kpos: usize, n: usize| {
+            (o * stride + kpos).checked_sub(pad).filter(|&i| i < n)
+        };
+        let mut mac_weights = vec![0u64; conv.cin() * h * w];
+        for (lane, &rows) in compact.lane_rows.iter().enumerate() {
             let rem = lane % (k * k);
-            pos_ci.push((lane / (k * k)) as u32);
-            pos_ky.push((rem / k) as u32);
-            pos_kx.push((rem % k) as u32);
+            let (ci, ky, kx) = (lane / (k * k), rem / k, rem % k);
+            pos_ci.push(ci as u32);
+            pos_ky.push(ky as u32);
+            pos_kx.push(kx as u32);
+            for iy in (0..oh).filter_map(|oy| inside(oy, ky, h)) {
+                for ix in (0..ow).filter_map(|ox| inside(ox, kx, w)) {
+                    mac_weights[(ci * h + iy) * w + ix] += rows;
+                }
+            }
         }
         let scratch = ScratchPool::new(r.groups, words, compact.max_row_lanes(), volume * ow, ow);
         Ok(PreparedConv {
@@ -1283,8 +1314,8 @@ impl PreparedConv {
             h,
             w,
             cout: r.rows,
-            stride: conv.stride(),
-            pad: conv.padding(),
+            stride,
+            pad,
             oh,
             ow,
             volume,
@@ -1295,6 +1326,7 @@ impl PreparedConv {
             pos_ky,
             pos_kx,
             pos_ao,
+            mac_weights,
             scratch,
         })
     }
@@ -1332,7 +1364,7 @@ impl PreparedConv {
     /// and each pixel is a pure function of its indices. Infallible —
     /// every lookup the compacted kernels perform was validated at
     /// prepare/accept time.
-    fn compute(&self, batch: &ActBatch, tel: &LayerCounters, emit: Emit) -> Flow {
+    fn compute(&self, batch: &ActBatch, emit: Emit) -> Flow {
         let row_elems = self.cout * self.ow;
         let mut tmp = vec![0f32; batch.n * self.oh * row_elems];
         tmp.par_chunks_mut(row_elems.max(1))
@@ -1341,16 +1373,16 @@ impl PreparedConv {
                 || self.scratch.take(),
                 |scratch, (row, chunk)| match self.mode {
                     Accumulation::Or => {
-                        self.compute_spatial::<OrKernel>(row, chunk, batch, scratch, tel)
+                        self.compute_spatial::<OrKernel>(row, chunk, batch, scratch)
                     }
                     Accumulation::Pbw | Accumulation::Pbhw => {
-                        self.compute_spatial::<GroupedKernel>(row, chunk, batch, scratch, tel)
+                        self.compute_spatial::<GroupedKernel>(row, chunk, batch, scratch)
                     }
                     Accumulation::Fxp => {
-                        self.compute_spatial::<FxpKernel>(row, chunk, batch, scratch, tel)
+                        self.compute_spatial::<FxpKernel>(row, chunk, batch, scratch)
                     }
                     Accumulation::Apc => {
-                        self.compute_spatial::<ApcKernel>(row, chunk, batch, scratch, tel)
+                        self.compute_spatial::<ApcKernel>(row, chunk, batch, scratch)
                     }
                 },
             );
@@ -1368,13 +1400,7 @@ impl PreparedConv {
     /// float op runs in the same order on the same values, and the mode
     /// kernels (border masking, APC polarity paths included) are the
     /// unfused ones via the shared [`PreparedConv::gather_row`].
-    fn compute_pooled(
-        &self,
-        batch: &ActBatch,
-        bn: Option<&BnAffine>,
-        relu: bool,
-        tel: &LayerCounters,
-    ) -> Vec<f32> {
+    fn compute_pooled(&self, batch: &ActBatch, bn: Option<&BnAffine>, relu: bool) -> Vec<f32> {
         let (poh, pow2) = (self.oh / 2, self.ow / 2);
         let row_elems = self.cout * pow2;
         let epi = FusedEpilogue { bn, relu };
@@ -1387,16 +1413,17 @@ impl PreparedConv {
                     stage: vec![0f32; 2 * self.cout * self.ow],
                 },
                 |worker, (prow, chunk)| match self.mode {
-                    Accumulation::Or => self
-                        .compute_spatial_pooled::<OrKernel>(prow, chunk, batch, worker, epi, tel),
+                    Accumulation::Or => {
+                        self.compute_spatial_pooled::<OrKernel>(prow, chunk, batch, worker, epi)
+                    }
                     Accumulation::Pbw | Accumulation::Pbhw => self
-                        .compute_spatial_pooled::<GroupedKernel>(
-                            prow, chunk, batch, worker, epi, tel,
-                        ),
-                    Accumulation::Fxp => self
-                        .compute_spatial_pooled::<FxpKernel>(prow, chunk, batch, worker, epi, tel),
-                    Accumulation::Apc => self
-                        .compute_spatial_pooled::<ApcKernel>(prow, chunk, batch, worker, epi, tel),
+                        .compute_spatial_pooled::<GroupedKernel>(prow, chunk, batch, worker, epi),
+                    Accumulation::Fxp => {
+                        self.compute_spatial_pooled::<FxpKernel>(prow, chunk, batch, worker, epi)
+                    }
+                    Accumulation::Apc => {
+                        self.compute_spatial_pooled::<ApcKernel>(prow, chunk, batch, worker, epi)
+                    }
                 },
             );
         tmp
@@ -1525,22 +1552,16 @@ impl PreparedConv {
         chunk: &mut [f32],
         batch: &ActBatch,
         scratch: &mut Scratch,
-        tel: &LayerCounters,
     ) {
         let oy = row % self.oh.max(1);
         let b = row / self.oh.max(1);
         self.compute_row_into::<M>(b, oy, chunk, batch, scratch);
-        if telemetry::enabled() {
-            tel.macs.add(scratch.pix.macs);
-            scratch.pix.macs = 0;
-        }
         scratch.debug_check();
     }
 
     /// Computes full-resolution spatial row `(b, oy)` into `out`
     /// (`cout·ow`, channel-major): one shared activation gather, then each
-    /// output channel's pixels read the kernel's static SoA arrays. MACs
-    /// accumulate into `scratch.pix.macs`; the caller flushes them.
+    /// output channel's pixels read the kernel's static SoA arrays.
     fn compute_row_into<M: ModeKernel>(
         &self,
         b: usize,
@@ -1570,13 +1591,6 @@ impl PreparedConv {
             };
             for (ox, out_v) in out_row.iter_mut().enumerate() {
                 *out_v = M::pixel(pix, &view, act, ox, self.words) as f32 / self.len as f32;
-                if telemetry::enabled() {
-                    pix.macs += view
-                        .aoff
-                        .iter()
-                        .map(|&o| u64::from(act.nz[o as usize + ox]))
-                        .sum::<u64>();
-                }
             }
         }
     }
@@ -1593,7 +1607,6 @@ impl PreparedConv {
         batch: &ActBatch,
         worker: &mut PoolWorker<'_>,
         epi: FusedEpilogue<'_>,
-        tel: &LayerCounters,
     ) {
         let poh = (self.oh / 2).max(1);
         let pow2 = (self.ow / 2).max(1);
@@ -1626,10 +1639,6 @@ impl PreparedConv {
                 let sum = r0[2 * pox] + r0[2 * pox + 1] + r1[2 * pox] + r1[2 * pox + 1];
                 *out_v = sum / 4.0;
             }
-        }
-        if telemetry::enabled() {
-            tel.macs.add(worker.scratch.pix.macs);
-            worker.scratch.pix.macs = 0;
         }
         worker.scratch.debug_check();
     }
@@ -1701,7 +1710,7 @@ impl PreparedLinear {
     /// Chunk geometry cannot affect the numerics — each neuron is a pure
     /// function of its row index — so this stays bit-identical at every
     /// thread count.
-    fn compute(&self, batch: &ActBatch, tel: &LayerCounters, emit: Emit) -> Flow {
+    fn compute(&self, batch: &ActBatch, emit: Emit) -> Flow {
         let mut out = Tensor::zeros(&[batch.n, self.outf]);
         let total = batch.n * self.outf;
         let chunk_rows = total.div_ceil(rayon::current_num_threads().max(1)).max(1);
@@ -1725,10 +1734,6 @@ impl PreparedLinear {
                         Accumulation::Apc => {
                             self.compute_chunk::<ApcKernel>(start, chunk, batch, scratch)
                         }
-                    }
-                    if telemetry::enabled() {
-                        tel.macs.add(scratch.pix.macs);
-                        scratch.pix.macs = 0;
                     }
                     scratch.debug_check();
                 },
@@ -1796,13 +1801,6 @@ impl PreparedLinear {
                 neg_w,
             };
             *out_v = M::pixel(pix, &view, act, 0, self.words) as f32 / self.len as f32;
-            if telemetry::enabled() {
-                pix.macs += view
-                    .aoff
-                    .iter()
-                    .map(|&of| u64::from(act.nz[of as usize]))
-                    .sum::<u64>();
-            }
         }
     }
 }
@@ -1892,10 +1890,9 @@ impl ScEngine {
     /// accumulated since creation (or the last
     /// [`ScEngine::reset_telemetry`]).
     ///
-    /// All-zero unless the crate is built with the `telemetry` feature
-    /// (see [`crate::telemetry::enabled`]). Counters cover both the
-    /// compacted and reference compute paths, which resolve the same
-    /// lanes and execute the identical MAC set by construction.
+    /// Counters cover both the compacted and reference compute paths,
+    /// which resolve the same lanes and execute the identical MAC set by
+    /// construction.
     pub fn telemetry_report(&self) -> TelemetryReport {
         self.telemetry.report("sc-engine")
     }
@@ -2263,7 +2260,7 @@ impl ScEngine {
         telemetry: &mut EngineTelemetry,
         resilience: &mut ResilienceReport,
     ) -> Result<PreparedStep, GeoError> {
-        let sw = Stopwatch::start();
+        let start = Instant::now();
         let r = self.resolve_layer(layer, shape, len, param_layer, telemetry, resilience)?;
         let emit = Emit::Float;
         let step = match layer {
@@ -2279,10 +2276,8 @@ impl ScEngine {
                 emit,
             },
         };
-        if telemetry::enabled() {
-            let tel = telemetry.layer(param_layer as usize);
-            tel.add_phase_ns(Phase::Resolve, sw.elapsed_ns());
-        }
+        let tel = telemetry.layer(param_layer as usize);
+        tel.add_phase_ns(Phase::Resolve, elapsed_ns(start));
         Ok(step)
     }
 
@@ -2324,19 +2319,14 @@ impl ScEngine {
             }
         };
         let tel = telemetry.layer(param_layer as usize);
-        if telemetry::enabled() {
-            let (hits, misses) = self.cache.lookup_counts();
-            tel.table_hits.add(hits - hits0);
-            tel.table_misses.add(misses - misses0);
-            let kept = r.lanes.iter().filter(|l| !l.is_zero()).count();
-            tel.compacted_lanes.add(kept as u64);
-            tel.skipped_zero_lanes.add((r.lanes.len() - kept) as u64);
-        }
+        let (hits, misses) = self.cache.lookup_counts();
+        tel.table_hits.add(hits - hits0);
+        tel.table_misses.add(misses - misses0);
+        tel.compacted_lanes.add(r.kept as u64);
+        tel.skipped_zero_lanes.add((r.lanes.len() - r.kept) as u64);
         if self.cache.fault_model().is_some() {
             let delta = self.cache.fault_counters().delta_since(&before);
-            if telemetry::enabled() {
-                tel.fault_events.add(delta.total());
-            }
+            tel.fault_events.add(delta.total());
             resilience.record(param_layer, delta);
         }
         Ok(r)
@@ -2459,6 +2449,7 @@ impl ScEngine {
         // each lane feeds precomputed from its kernel coordinates.
         let mut weights = WeightTables::default();
         let mut lanes = Vec::with_capacity(cout * volume);
+        let mut kept = 0;
         for co in 0..cout {
             for ci in 0..cin {
                 for ky in 0..k {
@@ -2473,7 +2464,9 @@ impl ScEngine {
                             Accumulation::Pbhw => ky * k + kx,
                             Accumulation::Or | Accumulation::Fxp | Accumulation::Apc => 0,
                         };
-                        lanes.push(WeightRef::new(&weights.tables, table, levels, group)?);
+                        let lane = WeightRef::new(&weights.tables, table, levels, group)?;
+                        kept += usize::from(!lane.is_zero());
+                        lanes.push(lane);
                     }
                 }
             }
@@ -2491,6 +2484,7 @@ impl ScEngine {
             act_tables,
             tables: weights.tables,
             lanes,
+            kept,
         })
     }
 
@@ -2525,6 +2519,7 @@ impl ScEngine {
             .collect::<Result<_, _>>()?;
         let mut weights = WeightTables::default();
         let mut lanes = Vec::with_capacity(outf * features);
+        let mut kept = 0;
         for o in 0..outf {
             for i in 0..features {
                 let (ci, wi) = (i / wdim, i % wdim);
@@ -2536,7 +2531,9 @@ impl ScEngine {
                     Accumulation::Pbw | Accumulation::Pbhw => wi,
                     Accumulation::Or | Accumulation::Fxp | Accumulation::Apc => 0,
                 };
-                lanes.push(WeightRef::new(&weights.tables, table, levels, group)?);
+                let lane = WeightRef::new(&weights.tables, table, levels, group)?;
+                kept += usize::from(!lane.is_zero());
+                lanes.push(lane);
             }
         }
         let groups = match mode {
@@ -2551,6 +2548,7 @@ impl ScEngine {
             act_tables,
             tables: weights.tables,
             lanes,
+            kept,
         })
     }
 }
@@ -2726,10 +2724,7 @@ mod reference {
                     if let Err(err) = row_fn(row, chunk, scratch) {
                         record_error(&first_err, err);
                     }
-                    if telemetry::enabled() {
-                        tel.macs.add(scratch.macs);
-                        scratch.macs = 0;
-                    }
+                    tel.macs.add(std::mem::take(&mut scratch.macs));
                 },
             );
             let err = first_err.into_inner().unwrap_or_else(|p| p.into_inner());
@@ -2741,9 +2736,7 @@ mod reference {
         /// APC allocations).
         fn accumulate(&self, act_words: &[u64], i: usize, scratch: &mut RefScratch) {
             let (words, len) = (self.words, self.r.len);
-            if telemetry::enabled() {
-                scratch.macs += 1;
-            }
+            scratch.macs += 1;
             let (wref, [pos_words, neg_words]) = (&self.r.lanes[i], &self.lane_words[i]);
             let g = wref.group;
             match self.config.accumulation {
@@ -2958,15 +2951,17 @@ fn shape_mismatch(expected: String, actual: &[usize]) -> GeoError {
     })
 }
 
-/// Runs `f`, adding its wall-clock time to `phase` of `tel` (the timing
-/// compiles away without the `telemetry` feature).
+/// Runs `f`, adding its wall-clock time to `phase` of `tel`.
 fn timed<T>(tel: &LayerCounters, phase: Phase, f: impl FnOnce() -> T) -> T {
-    let sw = Stopwatch::start();
+    let start = Instant::now();
     let out = f();
-    if telemetry::enabled() {
-        tel.add_phase_ns(phase, sw.elapsed_ns());
-    }
+    tel.add_phase_ns(phase, elapsed_ns(start));
     out
+}
+
+/// Nanoseconds since `start`, saturating.
+fn elapsed_ns(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Scans a fusible `[BatchNorm2d] → [ReLU] → AvgPool2d` run starting at
@@ -3122,7 +3117,8 @@ impl PreparedStep {
             } => {
                 let tel = telemetry.layer_shared(*param_layer as usize);
                 let batch = timed(tel, Phase::Convert, || layer.accept(flow))?;
-                timed(tel, Phase::Compute, || layer.compute(&batch, tel, *emit))
+                tel.macs.add(batch.macs(&layer.mac_weights));
+                timed(tel, Phase::Compute, || layer.compute(&batch, *emit))
             }
             PreparedStep::ConvPooled {
                 layer,
@@ -3133,16 +3129,15 @@ impl PreparedStep {
             } => {
                 let tel = telemetry.layer_shared(*param_layer as usize);
                 let batch = timed(tel, Phase::Convert, || layer.accept(flow))?;
+                tel.macs.add(batch.macs(&layer.mac_weights));
                 timed(tel, Phase::Compute, || {
                     let (poh, pow2) = (layer.oh / 2, layer.ow / 2);
-                    let tmp = layer.compute_pooled(&batch, bn.as_ref(), *relu, tel);
-                    if telemetry::enabled() {
-                        // §III-A skipped conversions, counted serially (one
-                        // add per pass) so the total is thread-invariant:
-                        // every full-res pixel beyond the pooled outputs.
-                        let skipped = batch.n * layer.cout * (layer.oh * layer.ow - poh * pow2);
-                        tel.conversions_skipped.add(skipped as u64);
-                    }
+                    let tmp = layer.compute_pooled(&batch, bn.as_ref(), *relu);
+                    // §III-A skipped conversions, counted serially (one add
+                    // per pass) so the total is thread-invariant: every
+                    // full-res pixel beyond the pooled outputs.
+                    let skipped = batch.n * layer.cout * (layer.oh * layer.ow - poh * pow2);
+                    tel.conversions_skipped.add(skipped as u64);
                     layer.transpose_stage(&tmp, batch.n, poh, pow2, *emit)
                 })
             }
@@ -3153,7 +3148,8 @@ impl PreparedStep {
             } => {
                 let tel = telemetry.layer_shared(*param_layer as usize);
                 let batch = timed(tel, Phase::Convert, || layer.accept(flow))?;
-                timed(tel, Phase::Compute, || layer.compute(&batch, tel, *emit))
+                tel.macs.add(batch.macs(&layer.compact.lane_rows));
+                timed(tel, Phase::Compute, || layer.compute(&batch, *emit))
             }
             PreparedStep::BatchNorm { affine, tel_layer } => {
                 let x = flow.into_float("batch norm")?;
@@ -3261,8 +3257,7 @@ impl PreparedModel {
     }
 
     /// Snapshot of the telemetry accumulated by the prepare pass and
-    /// every forward served since. All-zero unless the crate is built
-    /// with the `telemetry` feature.
+    /// every forward served since.
     pub fn telemetry_report(&self) -> TelemetryReport {
         self.telemetry.report("prepared-model")
     }
@@ -3724,18 +3719,14 @@ mod tests {
         reference.forward_reference(&mut model, &x, false).unwrap();
         let rc = compacted.telemetry_report();
         let rr = reference.telemetry_report();
-        if crate::telemetry::enabled() {
-            assert_eq!(rc.passes, 1);
-            assert!(rc.total().macs > 0);
-            assert_eq!(rc.total().macs, rr.total().macs);
-            assert_eq!(rc.total().compacted_lanes, rr.total().compacted_lanes);
-            assert_eq!(
-                rc.layers.iter().map(|l| l.macs).collect::<Vec<_>>(),
-                rr.layers.iter().map(|l| l.macs).collect::<Vec<_>>()
-            );
-        } else {
-            assert_eq!(rc.total(), crate::telemetry::LayerTelemetry::default());
-        }
+        assert_eq!(rc.passes, 1);
+        assert!(rc.total().macs > 0);
+        assert_eq!(rc.total().macs, rr.total().macs);
+        assert_eq!(rc.total().compacted_lanes, rr.total().compacted_lanes);
+        assert_eq!(
+            rc.layers.iter().map(|l| l.macs).collect::<Vec<_>>(),
+            rr.layers.iter().map(|l| l.macs).collect::<Vec<_>>()
+        );
         compacted.reset_telemetry();
         assert!(compacted.telemetry_report().layers.is_empty());
     }
@@ -3795,9 +3786,7 @@ mod tests {
                 .map(|v| v.to_bits())
                 .collect::<Vec<_>>(),
         );
-        if crate::telemetry::enabled() {
-            assert_eq!(prepared.telemetry_report().passes, 2);
-        }
+        assert_eq!(prepared.telemetry_report().passes, 2);
         // A batch with the wrong spatial geometry is rejected up front.
         assert!(prepared.forward(&Tensor::full(&[1, 1, 6, 6], 0.4)).is_err());
     }

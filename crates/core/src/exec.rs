@@ -199,9 +199,7 @@ impl ProgramExecutor {
     /// construction), so the merge is positional.
     ///
     /// The byte counts are static program properties scaled by the pass
-    /// count, so they are populated even without the `telemetry` feature
-    /// (where the runtime counters read zero and the traffic reflects a
-    /// single inference).
+    /// count (at least one).
     pub fn telemetry_report(&self) -> crate::telemetry::TelemetryReport {
         let mut report = self.engine.telemetry_report();
         report.source = format!("program:{}", self.program.name);
@@ -657,12 +655,8 @@ mod tests {
         assert_eq!(report.source, "program:lenet5-thumb");
         assert_eq!(report.layers.len(), exec.stream_lens().len());
         assert!(report.layers.iter().any(|l| l.pingpong_bytes > 0));
-        if crate::telemetry::enabled() {
-            assert_eq!(report.passes, 1);
-            assert!(report.total().macs > 0);
-        } else {
-            assert_eq!(report.total().macs, 0);
-        }
+        assert_eq!(report.passes, 1);
+        assert!(report.total().macs > 0);
     }
 
     #[test]

@@ -49,7 +49,6 @@
 
 use crate::error::GeoError;
 use geo_sc::fault::{self, FaultCounters, FaultInjector};
-use geo_sc::telemetry::Counter;
 use geo_sc::{
     progressive, quantize_unipolar, Bitstream, ProgressiveSng, RngKind, RngSpec, StreamRng,
     StreamTable, StuckAtRng,
@@ -189,8 +188,8 @@ pub struct TableCache {
     progressive: HashMap<TableKey, Arc<ProgressiveTable>>,
     pass: u64,
     faults: Option<FaultInjector>,
-    hits: Counter,
-    misses: Counter,
+    hits: u64,
+    misses: u64,
 }
 
 impl TableCache {
@@ -303,10 +302,10 @@ impl TableCache {
     ) -> Result<Arc<StreamTable>, GeoError> {
         let key = TableKey { kind, width, spec };
         if let Some(t) = self.regular.get(&key) {
-            self.hits.incr();
+            self.hits += 1;
             return Ok(Arc::clone(t));
         }
-        self.misses.incr();
+        self.misses += 1;
         let mut rng = self.build_faulty_rng(kind, width, spec)?;
         let mut table = StreamTable::new(len, rng.as_mut());
         if let Some(inj) = self.faults.as_mut() {
@@ -340,10 +339,10 @@ impl TableCache {
         }
         let key = TableKey { kind, width, spec };
         if let Some(t) = self.progressive.get(&key) {
-            self.hits.incr();
+            self.hits += 1;
             return Ok(Arc::clone(t));
         }
-        self.misses.incr();
+        self.misses += 1;
         let mut rng = self.build_faulty_rng(kind, width, spec)?;
         let mut table = ProgressiveTable::new(len, rng.as_mut());
         if let Some(inj) = self.faults.as_mut().filter(|f| f.model().has_transient()) {
@@ -357,11 +356,10 @@ impl TableCache {
         Ok(table)
     }
 
-    /// Cumulative `(hits, misses)` of table lookups since creation —
-    /// telemetry counters, always `(0, 0)` with the `telemetry` feature
-    /// compiled out. A hit serves a cached table; a miss builds one.
+    /// Cumulative `(hits, misses)` of table lookups since creation. A hit
+    /// serves a cached table; a miss builds one.
     pub fn lookup_counts(&self) -> (u64, u64) {
-        (self.hits.get(), self.misses.get())
+        (self.hits, self.misses)
     }
 
     /// Number of cached tables (both kinds).
@@ -403,11 +401,7 @@ mod tests {
         let _ = cache.regular(RngKind::Lfsr, 6, 64, SPEC).unwrap();
         let _ = cache.progressive(RngKind::Lfsr, 6, 64, SPEC).unwrap();
         let counts = cache.lookup_counts();
-        if geo_sc::telemetry::enabled() {
-            assert_eq!(counts, (1, 2));
-        } else {
-            assert_eq!(counts, (0, 0));
-        }
+        assert_eq!(counts, (1, 2));
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Per-layer telemetry for the SC pipeline: counters, phase timers, and
-//! the hierarchical [`TelemetryReport`] they snapshot into.
+//! the hierarchical [`TelemetryReport`] they snapshot into. Every counter
+//! is always live; there is no build without them.
 //!
-//! The primitives ([`Counter`], [`Stopwatch`], [`enabled`]) live in
-//! [`geo_sc::telemetry`] and are re-exported here; this module adds the
-//! engine-level structure on top:
-//!
+//! * [`Counter`] — a relaxed atomic event count, added to once per layer
+//!   pass or per resolve, never inside the compute kernels;
 //! * [`LayerCounters`] — one live counter block per parametrized
 //!   (conv/linear) layer, updated by [`ScEngine`](crate::ScEngine) as it
 //!   resolves and computes that layer;
@@ -18,7 +17,7 @@
 //!
 //! | counter | incremented when |
 //! |---|---|
-//! | `macs` | one multiply-accumulate is folded into an accumulator (a lane survived every skip test: padding bounds, zero activation, zero weight). Equal between the compacted and reference kernels by construction. |
+//! | `macs` | one multiply-accumulate is folded into an accumulator (a lane survived every skip test: padding bounds, zero activation, zero weight). The reference kernels count each fold; the compacted path counts the same set once per layer pass, outside the kernels: prepare gives each input element of a batch item the folds a nonzero level there feeds (linear: the rows keeping its feature; conv: per kernel position reading it, the rows keeping that position), and a pass sums those weights over its nonzero levels. |
 //! | `compacted_lanes` | a nonzero weight lane is kept by resolve-time compaction |
 //! | `skipped_zero_lanes` | a zero-split weight lane is dropped by compaction |
 //! | `table_hits` / `table_misses` | a stream-table lookup is served from / misses the [`TableCache`](crate::TableCache). A layer looks up one table per activation lane and one per distinct weight generator ([`SeedPlan::weight_slot`](geo_sc::SeedPlan::weight_slot)), not one per weight, so hits + misses is the lane count plus the weight-slot count. |
@@ -31,10 +30,39 @@
 //! Phase times (resolve / convert / compute / near-mem) are wall-clock
 //! and excluded from that contract.
 
-use geo_sc::telemetry::Counter;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-pub use geo_sc::telemetry::{enabled, Stopwatch};
+/// A monotonically increasing event counter: a relaxed atomic, since a
+/// count publishes no other data (see the module docs for the
+/// determinism argument).
+#[derive(Debug, Default)]
+pub struct Counter(AtomicU64);
+
+impl Counter {
+    /// Adds `n` events.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Adds one event.
+    #[inline]
+    pub fn incr(&self) {
+        self.add(1);
+    }
+
+    /// The current total.
+    #[must_use]
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+
+    /// Resets the counter to zero.
+    pub fn reset(&self) {
+        self.0.store(0, Ordering::Relaxed);
+    }
+}
 
 /// Pipeline phases a layer's wall-clock time is attributed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -407,6 +435,33 @@ mod tests {
     }
 
     #[test]
+    fn counter_accumulates_iff_enabled() {
+        let c = Counter::default();
+        c.add(3);
+        c.incr();
+        assert_eq!(c.get(), 4);
+        c.reset();
+        assert_eq!(c.get(), 0);
+    }
+
+    #[test]
+    fn counter_sums_are_exact_across_threads() {
+        use std::sync::Arc;
+        let c = Arc::new(Counter::default());
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                let c = Arc::clone(&c);
+                s.spawn(move || {
+                    for _ in 0..1000 {
+                        c.incr();
+                    }
+                });
+            }
+        });
+        assert_eq!(c.get(), 4000);
+    }
+
+    #[test]
     fn totals_sum_layer_fields() {
         let t = sample().total();
         assert_eq!(t.macs, 17);
@@ -453,12 +508,8 @@ mod tests {
         t.layer(0).compacted_lanes.add(2);
         let report = t.report("unit");
         assert_eq!(report.layers.len(), 2);
-        if enabled() {
-            assert_eq!(report.layers[1].macs, 5);
-            assert_eq!(report.layers[0].compacted_lanes, 2);
-        } else {
-            assert_eq!(report.total(), LayerTelemetry::default());
-        }
+        assert_eq!(report.layers[1].macs, 5);
+        assert_eq!(report.layers[0].compacted_lanes, 2);
         t.reset();
         assert!(t.report("unit").layers.is_empty());
     }
@@ -476,12 +527,10 @@ mod tests {
         dst.absorb(&src);
         let report = dst.report("unit");
         assert_eq!(report.layers.len(), 2);
-        if enabled() {
-            assert_eq!(report.passes, 3);
-            assert_eq!(report.layers[0].macs, 7);
-            assert_eq!(report.layers[1].table_hits, 2);
-            assert_eq!(report.layers[1].phase_ns[Phase::Compute.index()], 7);
-        }
+        assert_eq!(report.passes, 3);
+        assert_eq!(report.layers[0].macs, 7);
+        assert_eq!(report.layers[1].table_hits, 2);
+        assert_eq!(report.layers[1].phase_ns[Phase::Compute.index()], 7);
     }
 
     #[test]

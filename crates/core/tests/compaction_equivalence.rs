@@ -77,7 +77,9 @@ fn staircase(t: &Tensor, row_len: usize) -> Tensor {
 
 /// Runs the compacted path and the pre-compaction reference path on fresh
 /// engines under a pool of `threads` workers, returning both raw output
-/// bit patterns.
+/// bit patterns. Also asserts that both engines counted the same MACs per
+/// layer: the oracle counts one per fold, the compacted path derives its
+/// count from lane and live-unit totals.
 fn forward_both(
     threads: usize,
     cfg: GeoConfig,
@@ -100,6 +102,14 @@ fn forward_both(
         let compacted = new_engine
             .forward(&mut new_model, x, false)
             .expect("compacted forward");
+        let macs = |e: &ScEngine| -> Vec<u64> {
+            e.telemetry_report().layers.iter().map(|l| l.macs).collect()
+        };
+        assert_eq!(
+            macs(&ref_engine),
+            macs(&new_engine),
+            "per-layer MAC counts diverged"
+        );
         (bits(&reference), bits(&compacted))
     })
 }

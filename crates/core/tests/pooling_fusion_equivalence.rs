@@ -210,11 +210,10 @@ fn single_layer_and_reference_paths_ignore_the_fusion_flag() {
     assert_eq!(run(false), run(true));
 }
 
-/// §III-A skipped-conversion accounting (telemetry builds only): each
-/// fused layer skips exactly `n · cout · (oh·ow − poh·pow)` conversions
-/// per pass — a *static* count, so it is invariant across thread counts
-/// — and the unfused pipeline skips none.
-#[cfg(feature = "telemetry")]
+/// §III-A skipped-conversion accounting: each fused layer skips exactly
+/// `n · cout · (oh·ow − poh·pow)` conversions per pass — a *static*
+/// count, so it is invariant across thread counts — and the unfused
+/// pipeline skips none.
 #[test]
 fn conversions_skipped_matches_static_prediction() {
     let skipped = |threads: usize, fuse: bool| -> Vec<u64> {

@@ -44,7 +44,6 @@ pub mod progressive;
 mod rng;
 pub mod sharing;
 mod sng;
-pub mod telemetry;
 
 pub use accum::Accumulation;
 pub use bitstream::{Bitstream, Iter};
