@@ -8,10 +8,13 @@
 //! pre-compaction kernels kept in `geo_core::engine::reference`) against
 //! `ScEngine::forward` (compacted lanes + interior/border split +
 //! streaming APC), asserts the two outputs bit-identical, and records
-//! both wall-clock numbers. The result is written to `BENCH_forward.json`
-//! at the repository root in the `geo-perf-trajectory-v1` schema
-//! (`geo_bench::trajectory`), then re-read and validated so schema drift
-//! fails the run rather than producing an artifact later PRs cannot diff.
+//! both wall-clock numbers. A full-scale result is written to
+//! `BENCH_forward.json` at the repository root in the
+//! `geo-perf-trajectory-v1` schema (`geo_bench::trajectory`); a smoke or
+//! quick one goes to the git-ignored `results/bench_forward_<scale>.json`,
+//! so checks leave the tracked trajectory alone. Either is then re-read
+//! and validated so schema drift fails the run rather than producing an
+//! artifact later PRs cannot diff.
 //! The re-read snapshot is then gated against per-accumulation-mode
 //! speedup floors ([`speedup_floor`]) — loose at smoke/quick scale,
 //! the real 2×-Apc/1.3×-rest bars at full scale — exiting non-zero if
@@ -597,12 +600,19 @@ fn fused_bench(
     Ok(())
 }
 
-fn repo_root_artifact() -> PathBuf {
+/// The trajectory file of a run at `scale`: the tracked
+/// `BENCH_forward.json` at full scale, else the git-ignored
+/// `results/bench_forward_<scale>.json`.
+fn trajectory_artifact(scale: &str) -> PathBuf {
     // crates/bench/../../ = repository root, independent of the cwd the
     // binary is launched from.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_forward.json")
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    match scale {
+        "full" => root.join("BENCH_forward.json"),
+        _ => root
+            .join("results")
+            .join(format!("bench_forward_{scale}.json")),
+    }
 }
 
 fn telemetry_artifact(scale: &str) -> PathBuf {
@@ -906,7 +916,7 @@ fn main() -> ExitCode {
         cells,
         runs: Vec::new(),
     };
-    let path = repo_root_artifact();
+    let path = trajectory_artifact(sizing.scale);
     // Carry forward the run history from the prior artifact (migrating a
     // legacy history-less file), then append this run's snapshot under
     // the caller's label. The head `cells` stay the latest run.

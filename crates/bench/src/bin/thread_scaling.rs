@@ -10,7 +10,10 @@
 //! Besides the human-readable table, the sweep lands in
 //! `results/thread_scaling.json` in the same `geo-perf-trajectory-v1`
 //! schema as `BENCH_forward.json`: one cell per thread count, with
-//! `ms_before` the serial wall clock and `ms_after` that count's.
+//! `ms_before` the serial wall clock and `ms_after` that count's. A
+//! `--quick` sweep writes the git-ignored
+//! `results/thread_scaling_quick.json` instead, so a smoke check leaves
+//! the tracked full sweep alone.
 //!
 //! Run: `cargo run --release -p geo-bench --bin thread_scaling [-- --quick]`
 
@@ -114,13 +117,14 @@ fn main() -> ExitCode {
     }
     println!("BIT_IDENTICAL_ACROSS_ALL_THREAD_COUNTS");
 
+    let (scale, path) = match scale {
+        Scale::Quick => ("quick", "results/thread_scaling_quick.json"),
+        Scale::Full => ("full", "results/thread_scaling.json"),
+    };
     let report = Report {
         bench: "thread_scaling".to_string(),
         threads: rayon::current_num_threads(),
-        scale: match scale {
-            Scale::Quick => "quick".to_string(),
-            Scale::Full => "full".to_string(),
-        },
+        scale: scale.to_string(),
         cells,
         runs: Vec::new(),
     };
@@ -128,10 +132,10 @@ fn main() -> ExitCode {
         eprintln!("thread_scaling: cannot create results/: {e}");
         return ExitCode::FAILURE;
     }
-    if let Err(e) = report.write("results/thread_scaling.json") {
-        eprintln!("thread_scaling: cannot write results/thread_scaling.json: {e}");
+    if let Err(e) = report.write(path) {
+        eprintln!("thread_scaling: cannot write {path}: {e}");
         return ExitCode::FAILURE;
     }
-    println!("Sweep written to results/thread_scaling.json");
+    println!("Sweep written to {path}");
     ExitCode::SUCCESS
 }

@@ -26,7 +26,8 @@
 //!    deterministic and call-order independent. Prepare also performs
 //!    every computation that is invariant across requests and output
 //!    positions: zero-weight lanes are compacted away into
-//!    per-output-channel [`CompactKernel`] lists, activation tables are
+//!    per-output-channel, per-polarity [`CompactKernel`] lists that hold
+//!    each weight's live split half once, activation tables are
 //!    flattened into the gather slab, and per-worker [`Scratch`] sizing
 //!    is fixed. Nothing in a prepared layer depends on the activations.
 //! 2. **Compute** (pure, `&self`): the request's activations are
@@ -60,12 +61,12 @@
 //! # Sparsity-compacted kernels (DESIGN.md §11)
 //!
 //! The compute phase walks dense arrays built at resolve time instead of
-//! re-deriving per-lane facts per pixel: compacted nonzero-lane lists
-//! with their stream words contiguous in memory, a once-per-row `iy`
-//! resolution, an interior/border split of each output row, and a
-//! streaming one-level APC accumulator that replaces per-MAC heap
-//! allocations. Compaction consumes the layer's resolve, whose lane list
-//! is transient. The pre-compaction kernels are retained verbatim (the
+//! re-deriving per-lane facts per pixel: per-row positive and negative
+//! lists of live weight halves with their stream words contiguous in
+//! memory (DESIGN.md §14), one activation gather per output row shared by
+//! every channel, and a one-level APC reduction that replaces per-MAC
+//! heap allocations. Compaction consumes the layer's resolve, whose lane
+//! list is transient. The pre-compaction kernels are retained verbatim (the
 //! [`reference`] module, reachable via [`ScEngine::forward_reference`]):
 //! a self-contained oracle over the same resolve, the bit-identity oracle
 //! for `crates/core/tests/compaction_equivalence.rs` and the "before"
@@ -332,195 +333,134 @@ struct Resolved {
     lanes: Vec<WeightRef>,
     /// How many of `lanes` are nonzero (counted as the resolve pushes them).
     kept: usize,
+    /// How many positive and negative split halves of `lanes` are live,
+    /// which sizes the compacted lists exactly.
+    live: [usize; 2],
 }
 
-/// Sparsity-compacted weight lanes for a whole layer, in
-/// structure-of-arrays form with **position-major** stream words
-/// (DESIGN.md §14): per output channel/neuron, a contiguous run of its
-/// *nonzero* lanes, and per row a weight-word segment laid out so that for
-/// each stream-word position `j` the words of all `n` row lanes are
-/// adjacent (`row_pos(r)[j·n + i]`). The per-pixel hot loop streams
-/// through these dense arrays 4 lanes per iteration instead of re-testing
-/// each lane's zeroness per pixel and hopping between per-lane word
-/// pairs.
+/// Sparsity-compacted weight lanes for a whole layer (DESIGN.md §14): per
+/// output channel/neuron, the lanes whose *positive* split half is live in
+/// one [`LaneList`] and those whose *negative* half is live in another,
+/// each holding only its live half's stream words. Every kept lane has
+/// exactly one live half (`geo_sc::encode`), so each weight's words are
+/// stored once, and each mode kernel folds the two lists separately and
+/// returns `count(pos) − count(neg)`.
 ///
-/// Lane order within a row matches the resolve order (`ci`, `ky`, `kx`
-/// ascending), so the sequence of accumulate calls — and therefore APC
-/// compressor pairing — is exactly the pre-compaction sequence. Absent
-/// split halves are stored as zero words: ANDing/ORing them is the
-/// identity for every popcount mode, and the APC gather gates on
-/// [`CompactKernel::flags`] so its push order never sees them.
+/// Entry order within a row matches the resolve order (`ci`, `ky`, `kx`
+/// ascending), so the sequence of accumulate calls per polarity — and
+/// therefore APC compressor pairing — is exactly the pre-compaction
+/// sequence. A lane with both halves live would appear in both lists.
 #[derive(Debug)]
 struct CompactKernel {
-    /// Per-lane offset into the shared gathered-activation row buffer
-    /// ([`ActBuf`]): `lane · act_stride`, where `act_stride` is `ow` for
-    /// conv (one gathered word run per output column) and 1 for linear.
-    /// A pixel's activation word lives at `acts[(aoff + ox)·words + j]`,
-    /// its nonzero flag at `nz[aoff + ox]`.
-    aoff: Vec<u32>,
-    /// Accumulator group each lane feeds.
-    group: Vec<u32>,
-    /// Split-half liveness per lane: bit 0 = nonzero positive half,
-    /// bit 1 = nonzero negative half (gates APC push order only).
-    flags: Vec<u8>,
-    /// Row `r`'s lanes are SoA indices `offsets[r]..offsets[r + 1]`.
-    offsets: Vec<usize>,
-    /// Per-row position-major stream words: row `r` starts at
-    /// `offsets[r]·2·words` and holds `n·words` positive words
-    /// (`[j·n + i]`) followed by `n·words` negative words.
-    words_buf: Vec<u64>,
+    pos: LaneList,
+    neg: LaneList,
     /// Words per stream (`len.div_ceil(64)`).
     words: usize,
-    /// Per-row positive-half lane list (APC kernels): the gather offsets
-    /// of the lanes whose positive split half is nonzero, in lane
-    /// (arrival) order; row `r` spans `pos_offsets[r]..pos_offsets[r+1]`.
-    /// Most lanes carry exactly one live half, so walking these lists
-    /// halves the APC product loop relative to walking every lane twice.
-    pos_aoff: Vec<u32>,
-    /// The listed lanes' stream words, lane-major (`words` per entry).
-    pos_w: Vec<u64>,
-    pos_offsets: Vec<usize>,
-    /// Negative-half counterparts of the `pos_*` lists.
-    neg_aoff: Vec<u32>,
-    neg_w: Vec<u64>,
-    neg_offsets: Vec<usize>,
     /// Per lane index (kernel position or input feature), the number of
-    /// rows whose list keeps it: a live unit of lane `l` is folded
+    /// rows whose lists keep it: a live unit of lane `l` is folded
     /// `lane_rows[l]` times, which is how MACs are counted without walking
     /// the lane lists (see [`ActBatch::macs`]).
     lane_rows: Vec<u64>,
 }
 
+/// One polarity's live weight halves for a whole layer, in
+/// structure-of-arrays form: row `r`'s entries are
+/// `offsets[r]..offsets[r + 1]`, and entry `e` holds a gather offset, an
+/// accumulator group and `words` stream words, lane-major
+/// (`w[e·words + j]`). With one-word streams this is the layout the
+/// 4-wide single-word kernels stream through.
+#[derive(Debug)]
+struct LaneList {
+    offsets: Vec<usize>,
+    /// Offset into the shared gathered-activation row buffer ([`ActBuf`]):
+    /// `lane · act_stride`, where `act_stride` is `ow` for conv (one
+    /// gathered word run per output column) and 1 for linear. A pixel's
+    /// activation word lives at `acts[(aoff + ox)·words + j]`, its nonzero
+    /// flag at `nz[aoff + ox]`.
+    aoff: Vec<u32>,
+    /// Accumulator group each entry feeds.
+    group: Vec<u32>,
+    /// The live half's stream words.
+    w: Vec<u64>,
+}
+
+impl LaneList {
+    /// An empty list of `rows` rows with room for exactly `entries`
+    /// entries of `words` words each.
+    fn with_capacity(rows: usize, entries: usize, words: usize) -> LaneList {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        LaneList {
+            offsets,
+            aoff: Vec::with_capacity(entries),
+            group: Vec::with_capacity(entries),
+            w: Vec::with_capacity(entries * words),
+        }
+    }
+
+    /// Row `r`'s entries.
+    #[inline]
+    fn row(&self, r: usize, words: usize) -> RowView<'_> {
+        let (lo, hi) = (self.offsets[r], self.offsets[r + 1]);
+        RowView {
+            aoff: &self.aoff[lo..hi],
+            group: &self.group[lo..hi],
+            w: &self.w[lo * words..hi * words],
+        }
+    }
+}
+
 impl CompactKernel {
-    /// Compacts a resolved layer's lanes into per-row nonzero lane lists,
-    /// reading each lane's stream words from its table. `act_stride` is
-    /// the gathered-activation stride per lane index (conv: `ow`, linear:
-    /// 1); callers guarantee `act_tables.len() · act_stride` fits `u32`.
+    /// Compacts a resolved layer's lanes into per-row, per-polarity lists
+    /// of live halves, reading each half's stream words from its table.
+    /// `act_stride` is the gathered-activation stride per lane index
+    /// (conv: `ow`, linear: 1); callers guarantee
+    /// `act_tables.len() · act_stride` fits `u32`.
     fn build(r: &Resolved, act_stride: usize) -> CompactKernel {
         let (rows, lanes_per_row) = (r.rows, r.act_tables.len());
         let words = r.len.div_ceil(64);
-        let mut k = CompactKernel {
-            aoff: Vec::with_capacity(r.kept),
-            group: Vec::with_capacity(r.kept),
-            flags: Vec::with_capacity(r.kept),
-            offsets: Vec::with_capacity(rows + 1),
-            words_buf: Vec::with_capacity(r.kept * 2 * words),
-            words,
-            pos_aoff: Vec::new(),
-            pos_w: Vec::new(),
-            pos_offsets: Vec::with_capacity(rows + 1),
-            neg_aoff: Vec::new(),
-            neg_w: Vec::new(),
-            neg_offsets: Vec::with_capacity(rows + 1),
-            lane_rows: vec![0; lanes_per_row],
-        };
-        k.offsets.push(0);
-        k.pos_offsets.push(0);
-        k.neg_offsets.push(0);
-        let empty: &[u64] = &[];
-        let mut row_streams: Vec<(&[u64], &[u64])> = Vec::with_capacity(lanes_per_row);
+        let mut lists = r.live.map(|n| LaneList::with_capacity(rows, n, words));
+        let mut lane_rows = vec![0; lanes_per_row];
         for row in 0..rows {
-            row_streams.clear();
-            for l in 0..lanes_per_row {
-                let wref = &r.lanes[row * lanes_per_row + l];
+            let row_lanes = &r.lanes[row * lanes_per_row..][..lanes_per_row];
+            for (l, wref) in row_lanes.iter().enumerate() {
                 if wref.is_zero() {
                     continue;
                 }
-                k.lane_rows[l] += 1;
-                let aoff = (l * act_stride) as u32;
+                lane_rows[l] += 1;
                 let table = &r.tables[wref.table as usize];
-                let pw = if wref.pos > 0 {
-                    table.words(wref.pos)
-                } else {
-                    empty
-                };
-                let nw = if wref.neg > 0 {
-                    table.words(wref.neg)
-                } else {
-                    empty
-                };
-                if !pw.is_empty() {
-                    k.pos_aoff.push(aoff);
-                    k.pos_w.extend_from_slice(pw);
-                }
-                if !nw.is_empty() {
-                    k.neg_aoff.push(aoff);
-                    k.neg_w.extend_from_slice(nw);
-                }
-                row_streams.push((pw, nw));
-                k.aoff.push(aoff);
-                k.group.push(wref.group as u32);
-                k.flags
-                    .push(u8::from(wref.pos > 0) | (u8::from(wref.neg > 0) << 1));
-            }
-            for half in 0..2 {
-                for j in 0..words {
-                    for &(pw, nw) in &row_streams {
-                        let src = if half == 0 { pw } else { nw };
-                        k.words_buf.push(if src.is_empty() { 0 } else { src[j] });
+                for (list, level) in lists.iter_mut().zip([wref.pos, wref.neg]) {
+                    if level > 0 {
+                        list.aoff.push((l * act_stride) as u32);
+                        list.group.push(wref.group as u32);
+                        list.w.extend_from_slice(table.words(level));
                     }
                 }
             }
-            k.offsets.push(k.aoff.len());
-            k.pos_offsets.push(k.pos_aoff.len());
-            k.neg_offsets.push(k.neg_aoff.len());
+            for list in &mut lists {
+                list.offsets.push(list.aoff.len());
+            }
         }
-        k
+        let [pos, neg] = lists;
+        CompactKernel {
+            pos,
+            neg,
+            words,
+            lane_rows,
+        }
     }
 
-    /// The SoA index range of output row/channel `r`.
+    /// Row `r`'s positive and negative list views.
     #[inline]
-    fn row_range(&self, r: usize) -> std::ops::Range<usize> {
-        self.offsets[r]..self.offsets[r + 1]
+    fn row(&self, r: usize) -> [RowView<'_>; 2] {
+        [&self.pos, &self.neg].map(|list| list.row(r, self.words))
     }
 
-    /// Position-major positive stream words of row `r`: word `j` of row
-    /// lane `i` at `[j·n + i]`.
-    #[inline]
-    fn row_pos(&self, r: usize) -> &[u64] {
-        let (lo, hi) = (self.offsets[r], self.offsets[r + 1]);
-        let base = lo * 2 * self.words;
-        &self.words_buf[base..base + (hi - lo) * self.words]
-    }
-
-    /// Position-major negative stream words of row `r`.
-    #[inline]
-    fn row_neg(&self, r: usize) -> &[u64] {
-        let (lo, hi) = (self.offsets[r], self.offsets[r + 1]);
-        let n = hi - lo;
-        let base = lo * 2 * self.words + n * self.words;
-        &self.words_buf[base..base + n * self.words]
-    }
-
-    /// Row `r`'s positive-half lane list: gather offsets and their
-    /// lane-major stream words (`words` per entry), arrival order.
-    #[inline]
-    fn row_pos_list(&self, r: usize) -> (&[u32], &[u64]) {
-        let (lo, hi) = (self.pos_offsets[r], self.pos_offsets[r + 1]);
-        (
-            &self.pos_aoff[lo..hi],
-            &self.pos_w[lo * self.words..hi * self.words],
-        )
-    }
-
-    /// Row `r`'s negative-half lane list.
-    #[inline]
-    fn row_neg_list(&self, r: usize) -> (&[u32], &[u64]) {
-        let (lo, hi) = (self.neg_offsets[r], self.neg_offsets[r + 1]);
-        (
-            &self.neg_aoff[lo..hi],
-            &self.neg_w[lo * self.words..hi * self.words],
-        )
-    }
-
-    /// Largest nonzero-lane count of any row — the layer's effective max
-    /// fan-in, which sizes per-worker row scratch exactly once.
-    fn max_row_lanes(&self) -> usize {
-        self.offsets
-            .windows(2)
-            .map(|w| w[1] - w[0])
-            .max()
-            .unwrap_or(0)
+    /// Most entries any row holds in either list — which sizes the
+    /// per-worker APC product scratch exactly once.
+    fn max_row_entries(&self) -> usize {
+        let lens = |l: &LaneList| l.offsets.windows(2).map(|w| w[1] - w[0]).max();
+        lens(&self.pos).max(lens(&self.neg)).unwrap_or(0)
     }
 }
 
@@ -749,32 +689,21 @@ const _: () = {
     assert_send_sync::<PreparedModel>();
 };
 
-/// A borrowed, gather-ready view of one output row's compacted lanes.
-/// Every slice aliases the [`CompactKernel`] SoA arrays directly — there
-/// is no per-row repacking; lanes whose input row falls outside the image
+/// A borrowed, gather-ready view of one output row's entries in one
+/// [`LaneList`]. Every slice aliases the list's arrays directly — there is
+/// no per-row repacking; entries whose input row falls outside the image
 /// read zero words from the shared [`ActBuf`] instead (see
 /// [`PreparedConv::gather_row`]).
+#[derive(Clone, Copy)]
 struct RowView<'a> {
-    n: usize,
-    /// Per-lane base offsets into the gathered activations: lane `i` of
+    /// Per-entry base offsets into the gathered activations: entry `i` of
     /// pixel `ox` reads `acts[(aoff[i] + ox)·words ..]` and
     /// `nz[aoff[i] + ox]`.
     aoff: &'a [u32],
-    /// Per-lane accumulator groups.
+    /// Per-entry accumulator groups.
     group: &'a [u32],
-    /// Per-lane split-half flags (bit 0 pos, bit 1 neg) — APC gating.
-    flags: &'a [u8],
-    /// Position-major positive stream words (`wp[j·n + i]`).
-    wp: &'a [u64],
-    /// Position-major negative stream words.
-    wn: &'a [u64],
-    /// Positive-half lane list ([`CompactKernel::row_pos_list`]) — the
-    /// APC kernels walk this instead of testing every lane's flags.
-    pos_aoff: &'a [u32],
-    pos_w: &'a [u64],
-    /// Negative-half lane list.
-    neg_aoff: &'a [u32],
-    neg_w: &'a [u64],
+    /// Lane-major stream words (`w[i·words + j]`).
+    w: &'a [u64],
 }
 
 /// Per-worker gathered-activation buffers, shared across every output
@@ -807,25 +736,22 @@ impl ActBuf {
 }
 
 /// Per-worker pixel buffers: the APC product gather and the grouped
-/// accumulators. All sized once at construction from resolve-time
-/// constants — the hot loop performs no heap allocation in any mode.
+/// accumulators, each reused for one polarity list after the other. All
+/// sized once at construction from resolve-time constants — the hot loop
+/// performs no heap allocation in any mode.
 struct PixelBuf {
     /// APC product gather, lane-major (`words` adjacent words per kept
     /// product, arrival order preserved).
-    prod_pos: Vec<u64>,
-    prod_neg: Vec<u64>,
+    prod: Vec<u64>,
     /// Grouped accumulators (`groups·words`), Pbw/Pbhw (and multiword Or).
-    acc_pos: Vec<u64>,
-    acc_neg: Vec<u64>,
+    acc: Vec<u64>,
 }
 
 impl PixelBuf {
-    fn new(groups: usize, words: usize, max_row_lanes: usize) -> Self {
+    fn new(groups: usize, words: usize, max_row_entries: usize) -> Self {
         PixelBuf {
-            prod_pos: vec![0u64; max_row_lanes * words],
-            prod_neg: vec![0u64; max_row_lanes * words],
-            acc_pos: vec![0u64; groups * words],
-            acc_neg: vec![0u64; groups * words],
+            prod: vec![0u64; max_row_entries * words],
+            acc: vec![0u64; groups * words],
         }
     }
 }
@@ -843,13 +769,13 @@ impl Scratch {
     fn new(
         groups: usize,
         words: usize,
-        max_row_lanes: usize,
+        max_row_entries: usize,
         gather_units: usize,
         gather_cols: usize,
     ) -> Self {
         Scratch {
             act: ActBuf::new(gather_units, words, gather_cols),
-            pix: PixelBuf::new(groups, words, max_row_lanes),
+            pix: PixelBuf::new(groups, words, max_row_entries),
         }
     }
 
@@ -861,7 +787,6 @@ impl Scratch {
             self.act.acts.len(),
             self.act.nz.len() * self.words_per_unit()
         );
-        debug_assert_eq!(self.pix.prod_pos.len(), self.pix.prod_neg.len());
     }
 
     #[inline]
@@ -883,7 +808,7 @@ impl Scratch {
 struct ScratchPool {
     groups: usize,
     words: usize,
-    max_row_lanes: usize,
+    max_row_entries: usize,
     gather_units: usize,
     gather_cols: usize,
     pool: Mutex<Vec<Scratch>>,
@@ -893,14 +818,14 @@ impl ScratchPool {
     fn new(
         groups: usize,
         words: usize,
-        max_row_lanes: usize,
+        max_row_entries: usize,
         gather_units: usize,
         gather_cols: usize,
     ) -> Self {
         ScratchPool {
             groups,
             words,
-            max_row_lanes,
+            max_row_entries,
             gather_units,
             gather_cols,
             pool: Mutex::new(Vec::new()),
@@ -916,7 +841,7 @@ impl ScratchPool {
             Scratch::new(
                 self.groups,
                 self.words,
-                self.max_row_lanes,
+                self.max_row_entries,
                 self.gather_units,
                 self.gather_cols,
             )
@@ -961,10 +886,10 @@ impl Drop for PooledScratch<'_> {
             debug_assert_eq!(s.act.acts.len(), self.pool.gather_units * self.pool.words);
             debug_assert_eq!(s.act.nz.len(), self.pool.gather_units);
             debug_assert_eq!(s.act.zeros.len(), self.pool.gather_cols);
-            debug_assert_eq!(s.pix.acc_pos.len(), self.pool.groups * self.pool.words);
+            debug_assert_eq!(s.pix.acc.len(), self.pool.groups * self.pool.words);
             debug_assert_eq!(
-                s.pix.prod_pos.len(),
-                self.pool.max_row_lanes * self.pool.words
+                s.pix.prod.len(),
+                self.pool.max_row_entries * self.pool.words
             );
             self.pool.lock().push(s);
         }
@@ -973,52 +898,45 @@ impl Drop for PooledScratch<'_> {
 
 /// Row-level monomorphized accumulation kernels (DESIGN.md §14): the row
 /// loop dispatches on the layer's accumulation mode once, and each mode's
-/// pixel body is a straight-line SWAR reduction over the gathered
-/// activation words — 4 lanes per inner-loop iteration, popcounts
-/// combined by pairwise adds — with no per-MAC mode or liveness branch.
+/// count is a straight-line SWAR reduction over one polarity list's
+/// gathered activation words — 4 entries per inner-loop iteration,
+/// popcounts combined by pairwise adds — with no per-MAC mode or liveness
+/// branch. A pixel is the positive list's count minus the negative list's:
+/// OR folds and popcount sums split by polarity exactly, and each list
+/// keeps the resolve order APC pairs products in.
 trait ModeKernel {
-    /// The signed accumulated count of one pixel: lane `i` reads its
-    /// activation words at `act.acts[(aoff[i] + ox)·words ..]`.
-    fn pixel(pix: &mut PixelBuf, view: &RowView, act: &ActBuf, ox: usize, words: usize) -> i64;
+    /// The accumulated count of one polarity list at column `ox`: entry
+    /// `i` reads its activation words at `act.acts[(aoff[i] + ox)·words ..]`.
+    fn count(pix: &mut PixelBuf, list: &RowView, act: &ActBuf, ox: usize, words: usize) -> i64;
+
+    /// The signed accumulated count of one pixel from its row's
+    /// `[positive, negative]` list views.
+    #[inline]
+    fn pixel(pix: &mut PixelBuf, row: &[RowView; 2], act: &ActBuf, ox: usize, words: usize) -> i64 {
+        Self::count(pix, &row[0], act, ox, words) - Self::count(pix, &row[1], act, ox, words)
+    }
 }
 
-/// 4-wide OR/AND reduction of one single-word pixel across all lanes:
-/// the OR accumulation of a whole pixel collapses into four independent
-/// register accumulators folded by a pairwise tree. OR is associative and
-/// commutative, so any reduction shape is bit-identical to the reference
-/// kernels' sequential fold.
+/// 4-wide OR/AND reduction of one single-word list at one pixel: the OR
+/// accumulation collapses into four independent register accumulators
+/// folded by a pairwise tree. OR is associative and commutative, so any
+/// reduction shape is bit-identical to the reference kernels' sequential
+/// fold.
 #[inline]
-fn or_fold(aoff: &[u32], ox: usize, acts: &[u64], wp: &[u64], wn: &[u64]) -> (u64, u64) {
+fn or_fold(aoff: &[u32], ox: usize, acts: &[u64], w: &[u64]) -> u64 {
     let (mut p0, mut p1, mut p2, mut p3) = (0u64, 0u64, 0u64, 0u64);
-    let (mut q0, mut q1, mut q2, mut q3) = (0u64, 0u64, 0u64, 0u64);
     let mut o4 = aoff.chunks_exact(4);
-    let mut p4 = wp.chunks_exact(4);
-    let mut n4 = wn.chunks_exact(4);
-    for ((o, p), q) in (&mut o4).zip(&mut p4).zip(&mut n4) {
-        let a0 = acts[o[0] as usize + ox];
-        let a1 = acts[o[1] as usize + ox];
-        let a2 = acts[o[2] as usize + ox];
-        let a3 = acts[o[3] as usize + ox];
-        p0 |= a0 & p[0];
-        p1 |= a1 & p[1];
-        p2 |= a2 & p[2];
-        p3 |= a3 & p[3];
-        q0 |= a0 & q[0];
-        q1 |= a1 & q[1];
-        q2 |= a2 & q[2];
-        q3 |= a3 & q[3];
+    let mut w4 = w.chunks_exact(4);
+    for (o, w) in (&mut o4).zip(&mut w4) {
+        p0 |= acts[o[0] as usize + ox] & w[0];
+        p1 |= acts[o[1] as usize + ox] & w[1];
+        p2 |= acts[o[2] as usize + ox] & w[2];
+        p3 |= acts[o[3] as usize + ox] & w[3];
     }
-    for ((&o, &p), &q) in o4
-        .remainder()
-        .iter()
-        .zip(p4.remainder())
-        .zip(n4.remainder())
-    {
-        let a = acts[o as usize + ox];
-        p0 |= a & p;
-        q0 |= a & q;
+    for (&o, &w) in o4.remainder().iter().zip(w4.remainder()) {
+        p0 |= acts[o as usize + ox] & w;
     }
-    ((p0 | p1) | (p2 | p3), (q0 | q1) | (q2 | q3))
+    (p0 | p1) | (p2 | p3)
 }
 
 /// OR accumulation (`groups == 1`): register accumulators, no memory
@@ -1027,142 +945,91 @@ struct OrKernel;
 
 impl ModeKernel for OrKernel {
     #[inline]
-    fn pixel(_pix: &mut PixelBuf, view: &RowView, act: &ActBuf, ox: usize, words: usize) -> i64 {
-        let n = view.n;
+    fn count(pix: &mut PixelBuf, list: &RowView, act: &ActBuf, ox: usize, words: usize) -> i64 {
         if words == 1 {
-            let (p, q) = or_fold(&view.aoff[..n], ox, &act.acts, &view.wp[..n], &view.wn[..n]);
-            return i64::from(p.count_ones()) - i64::from(q.count_ones());
+            return i64::from(or_fold(list.aoff, ox, &act.acts, list.w).count_ones());
         }
-        let mut pos = 0i64;
-        let mut neg = 0i64;
-        for j in 0..words {
-            let (mut p, mut q) = (0u64, 0u64);
-            for i in 0..n {
-                let a = act.acts[(view.aoff[i] as usize + ox) * words + j];
-                p |= a & view.wp[j * n + i];
-                q |= a & view.wn[j * n + i];
-            }
-            pos += i64::from(p.count_ones());
-            neg += i64::from(q.count_ones());
-        }
-        pos - neg
+        // Every OR entry feeds group 0, so the grouped fold is the OR fold.
+        GroupedKernel::count(pix, list, act, ox, words)
     }
 }
 
-/// Partial-binary accumulation (Pbw/Pbhw): per-lane group-indexed OR
-/// accumulators, 4 lanes per iteration.
+/// Partial-binary accumulation (Pbw/Pbhw): per-entry group-indexed OR
+/// accumulators, 4 entries per iteration.
 struct GroupedKernel;
 
 impl ModeKernel for GroupedKernel {
     #[inline]
-    fn pixel(pix: &mut PixelBuf, view: &RowView, act: &ActBuf, ox: usize, words: usize) -> i64 {
-        let n = view.n;
-        let PixelBuf {
-            acc_pos, acc_neg, ..
-        } = pix;
-        acc_pos.fill(0);
-        acc_neg.fill(0);
+    fn count(pix: &mut PixelBuf, list: &RowView, act: &ActBuf, ox: usize, words: usize) -> i64 {
+        let (acc, acts) = (&mut pix.acc, &act.acts);
+        acc.fill(0);
         if words == 1 {
-            let acts = &act.acts;
-            let wp = &view.wp[..n];
-            let wn = &view.wn[..n];
-            let gr = &view.group[..n];
-            let mut o4 = view.aoff[..n].chunks_exact(4);
-            let mut p4 = wp.chunks_exact(4);
-            let mut n4 = wn.chunks_exact(4);
-            let mut g4 = gr.chunks_exact(4);
-            for (((o, p), q), g) in (&mut o4).zip(&mut p4).zip(&mut n4).zip(&mut g4) {
+            let mut o4 = list.aoff.chunks_exact(4);
+            let mut w4 = list.w.chunks_exact(4);
+            let mut g4 = list.group.chunks_exact(4);
+            for ((o, w), g) in (&mut o4).zip(&mut w4).zip(&mut g4) {
                 let a0 = acts[o[0] as usize + ox];
                 let a1 = acts[o[1] as usize + ox];
                 let a2 = acts[o[2] as usize + ox];
                 let a3 = acts[o[3] as usize + ox];
-                acc_pos[g[0] as usize] |= a0 & p[0];
-                acc_neg[g[0] as usize] |= a0 & q[0];
-                acc_pos[g[1] as usize] |= a1 & p[1];
-                acc_neg[g[1] as usize] |= a1 & q[1];
-                acc_pos[g[2] as usize] |= a2 & p[2];
-                acc_neg[g[2] as usize] |= a2 & q[2];
-                acc_pos[g[3] as usize] |= a3 & p[3];
-                acc_neg[g[3] as usize] |= a3 & q[3];
+                acc[g[0] as usize] |= a0 & w[0];
+                acc[g[1] as usize] |= a1 & w[1];
+                acc[g[2] as usize] |= a2 & w[2];
+                acc[g[3] as usize] |= a3 & w[3];
             }
-            for (((&o, &p), &q), &g) in o4
-                .remainder()
-                .iter()
-                .zip(p4.remainder())
-                .zip(n4.remainder())
-                .zip(g4.remainder())
-            {
-                let a = acts[o as usize + ox];
-                acc_pos[g as usize] |= a & p;
-                acc_neg[g as usize] |= a & q;
+            let rest = o4.remainder().iter().zip(w4.remainder());
+            for ((&o, &w), &g) in rest.zip(g4.remainder()) {
+                acc[g as usize] |= acts[o as usize + ox] & w;
             }
         } else {
-            for j in 0..words {
-                let wpj = &view.wp[j * n..(j + 1) * n];
-                let wnj = &view.wn[j * n..(j + 1) * n];
-                for i in 0..n {
-                    let a = act.acts[(view.aoff[i] as usize + ox) * words + j];
-                    let g = view.group[i] as usize * words + j;
-                    acc_pos[g] |= a & wpj[i];
-                    acc_neg[g] |= a & wnj[i];
+            let entries = list.aoff.iter().zip(list.group);
+            for ((&o, &g), w) in entries.zip(list.w.chunks_exact(words)) {
+                let a = &acts[(o as usize + ox) * words..][..words];
+                let acc_g = &mut acc[g as usize * words..][..words];
+                for ((s, &a), &w) in acc_g.iter_mut().zip(a).zip(w) {
+                    *s |= a & w;
                 }
             }
         }
-        let pos: i64 = acc_pos.iter().map(|w| i64::from(w.count_ones())).sum();
-        let neg: i64 = acc_neg.iter().map(|w| i64::from(w.count_ones())).sum();
-        pos - neg
+        acc.iter().map(|w| i64::from(w.count_ones())).sum()
     }
 }
 
-/// 4-wide signed popcount reduction of one stream-word position: four
+/// 4-wide popcount reduction of one single-word list at one pixel: four
 /// independent counters, combined by pairwise adds. Exact integer
 /// arithmetic, so any association is bit-identical to the reference
-/// fold's `pos − neg`.
+/// fold.
 #[inline]
-fn fxp_fold(aoff: &[u32], ox: usize, acts: &[u64], wp: &[u64], wn: &[u64]) -> i64 {
+fn fxp_fold(aoff: &[u32], ox: usize, acts: &[u64], w: &[u64]) -> i64 {
     let (mut c0, mut c1, mut c2, mut c3) = (0i64, 0i64, 0i64, 0i64);
     let mut o4 = aoff.chunks_exact(4);
-    let mut p4 = wp.chunks_exact(4);
-    let mut n4 = wn.chunks_exact(4);
-    for ((o, p), q) in (&mut o4).zip(&mut p4).zip(&mut n4) {
-        let a0 = acts[o[0] as usize + ox];
-        let a1 = acts[o[1] as usize + ox];
-        let a2 = acts[o[2] as usize + ox];
-        let a3 = acts[o[3] as usize + ox];
-        c0 += i64::from((a0 & p[0]).count_ones()) - i64::from((a0 & q[0]).count_ones());
-        c1 += i64::from((a1 & p[1]).count_ones()) - i64::from((a1 & q[1]).count_ones());
-        c2 += i64::from((a2 & p[2]).count_ones()) - i64::from((a2 & q[2]).count_ones());
-        c3 += i64::from((a3 & p[3]).count_ones()) - i64::from((a3 & q[3]).count_ones());
+    let mut w4 = w.chunks_exact(4);
+    for (o, w) in (&mut o4).zip(&mut w4) {
+        c0 += i64::from((acts[o[0] as usize + ox] & w[0]).count_ones());
+        c1 += i64::from((acts[o[1] as usize + ox] & w[1]).count_ones());
+        c2 += i64::from((acts[o[2] as usize + ox] & w[2]).count_ones());
+        c3 += i64::from((acts[o[3] as usize + ox] & w[3]).count_ones());
     }
-    for ((&o, &p), &q) in o4
-        .remainder()
-        .iter()
-        .zip(p4.remainder())
-        .zip(n4.remainder())
-    {
-        let a = acts[o as usize + ox];
-        c0 += i64::from((a & p).count_ones()) - i64::from((a & q).count_ones());
+    for (&o, &w) in o4.remainder().iter().zip(w4.remainder()) {
+        c0 += i64::from((acts[o as usize + ox] & w).count_ones());
     }
     (c0 + c1) + (c2 + c3)
 }
 
-/// Exact fixed-point accumulation: SWAR popcount tree per stream-word
-/// position.
+/// Exact fixed-point accumulation: SWAR popcount tree over one list.
 struct FxpKernel;
 
 impl ModeKernel for FxpKernel {
     #[inline]
-    fn pixel(_pix: &mut PixelBuf, view: &RowView, act: &ActBuf, ox: usize, words: usize) -> i64 {
-        let n = view.n;
+    fn count(_pix: &mut PixelBuf, list: &RowView, act: &ActBuf, ox: usize, words: usize) -> i64 {
         if words == 1 {
-            return fxp_fold(&view.aoff[..n], ox, &act.acts, &view.wp[..n], &view.wn[..n]);
+            return fxp_fold(list.aoff, ox, &act.acts, list.w);
         }
         let mut total = 0i64;
-        for j in 0..words {
-            for i in 0..n {
-                let a = act.acts[(view.aoff[i] as usize + ox) * words + j];
-                total += i64::from((a & view.wp[j * n + i]).count_ones())
-                    - i64::from((a & view.wn[j * n + i]).count_ones());
+        for (&o, w) in list.aoff.iter().zip(list.w.chunks_exact(words)) {
+            let a = &act.acts[(o as usize + ox) * words..][..words];
+            for (&a, &w) in a.iter().zip(w) {
+                total += i64::from((a & w).count_ones());
             }
         }
         total
@@ -1194,58 +1061,40 @@ fn apc_static(aoff: &[u32], w: &[u64], ox: usize, acts: &[u64]) -> i64 {
     sum
 }
 
-/// One-level APC accumulation over the per-polarity static lane lists
-/// (most lanes carry one live half, so the two list walks touch ~half
-/// the words of a both-halves-per-lane loop). Columns with no zero
-/// activation anywhere (`ActBuf::zeros`) — the overwhelming majority on
-/// interior pixels — take [`apc_static`]; columns with level-0 or
-/// padding units compact each polarity's live products into scratch
-/// (write always, advance by the unit's nonzero flag — branchless, and
-/// the cursor never outruns the entry index) preserving the reference
-/// kernels' push order exactly, then reduce with the 4-wide input stage
-/// [`geo_sc::apc::apc_reduce`].
+/// One-level APC accumulation over one polarity list. Single-word columns
+/// with no zero activation anywhere (`ActBuf::zeros`) — the overwhelming
+/// majority on interior pixels — take [`apc_static`]; every other column
+/// compacts the list's live products into scratch (write always, advance
+/// by the unit's nonzero flag — branchless, and the cursor never outruns
+/// the entry index) preserving the reference kernels' push order exactly,
+/// then reduces with [`geo_sc::apc::apc_reduce`].
 struct ApcKernel;
 
 impl ModeKernel for ApcKernel {
     #[inline]
-    fn pixel(pix: &mut PixelBuf, view: &RowView, act: &ActBuf, ox: usize, words: usize) -> i64 {
-        let n = view.n;
-        let PixelBuf {
-            prod_pos, prod_neg, ..
-        } = pix;
+    fn count(pix: &mut PixelBuf, list: &RowView, act: &ActBuf, ox: usize, words: usize) -> i64 {
+        let prod = &mut pix.prod;
         let mut np = 0usize;
-        let mut nn = 0usize;
         if words == 1 {
             if act.zeros[ox] == 0 {
-                return apc_static(view.pos_aoff, view.pos_w, ox, &act.acts)
-                    - apc_static(view.neg_aoff, view.neg_w, ox, &act.acts);
+                return apc_static(list.aoff, list.w, ox, &act.acts);
             }
-            for (&o, &w) in view.pos_aoff.iter().zip(view.pos_w) {
+            for (&o, &w) in list.aoff.iter().zip(list.w) {
                 let u = o as usize + ox;
-                prod_pos[np] = act.acts[u] & w;
+                prod[np] = act.acts[u] & w;
                 np += usize::from(act.nz[u]);
             }
-            for (&o, &w) in view.neg_aoff.iter().zip(view.neg_w) {
-                let u = o as usize + ox;
-                prod_neg[nn] = act.acts[u] & w;
-                nn += usize::from(act.nz[u]);
-            }
-            return geo_sc::apc::apc_reduce(&prod_pos[..np], 1)
-                - geo_sc::apc::apc_reduce(&prod_neg[..nn], 1);
+            return geo_sc::apc::apc_reduce(&prod[..np], 1);
         }
-        for i in 0..n {
-            let u = view.aoff[i] as usize + ox;
-            let live = view.flags[i] * act.nz[u];
-            for j in 0..words {
-                let a = act.acts[u * words + j];
-                prod_pos[np * words + j] = a & view.wp[j * n + i];
-                prod_neg[nn * words + j] = a & view.wn[j * n + i];
+        for (&o, w) in list.aoff.iter().zip(list.w.chunks_exact(words)) {
+            let u = o as usize + ox;
+            let a = &act.acts[u * words..][..words];
+            for ((p, &a), &w) in prod[np * words..][..words].iter_mut().zip(a).zip(w) {
+                *p = a & w;
             }
-            np += usize::from(live & 1);
-            nn += usize::from((live >> 1) & 1);
+            np += usize::from(act.nz[u]);
         }
-        geo_sc::apc::apc_reduce(&prod_pos[..np * words], words)
-            - geo_sc::apc::apc_reduce(&prod_neg[..nn * words], words)
+        geo_sc::apc::apc_reduce(&prod[..np * words], words)
     }
 }
 
@@ -1303,7 +1152,7 @@ impl PreparedConv {
                 }
             }
         }
-        let scratch = ScratchPool::new(r.groups, words, compact.max_row_lanes(), volume * ow, ow);
+        let scratch = ScratchPool::new(r.groups, words, compact.max_row_entries(), volume * ow, ow);
         Ok(PreparedConv {
             mode: config.accumulation,
             len: r.len,
@@ -1480,7 +1329,7 @@ impl PreparedConv {
     /// out-of-bounds and level-0 units with a branchless mask and
     /// recording per-unit nonzero flags. Zero activation words are
     /// accumulation identities in every mode (OR, popcount, and the
-    /// flags·nz-gated APC push), so dropped lanes need no repacking —
+    /// nz-gated APC push), so dropped lanes need no repacking —
     /// and masking, rather than skipping the level-0 table read, matches
     /// the reference kernels' skip semantics exactly even when fault
     /// injection corrupts a table's level-0 stream.
@@ -1544,8 +1393,8 @@ impl PreparedConv {
 
     /// Computes one spatial output row (`b`, `oy` fixed; all `co`, `ox`),
     /// monomorphized over the accumulation-mode kernel: one shared
-    /// activation gather, then each output channel's pixels read the
-    /// kernel's static SoA arrays — no per-row repacking at all.
+    /// activation gather, then each output channel's pixels read its two
+    /// lane lists — no per-row repacking at all.
     fn compute_spatial<M: ModeKernel>(
         &self,
         row: usize,
@@ -1561,7 +1410,7 @@ impl PreparedConv {
 
     /// Computes full-resolution spatial row `(b, oy)` into `out`
     /// (`cout·ow`, channel-major): one shared activation gather, then each
-    /// output channel's pixels read the kernel's static SoA arrays.
+    /// output channel's pixels read its two lane lists.
     fn compute_row_into<M: ModeKernel>(
         &self,
         b: usize,
@@ -1574,21 +1423,7 @@ impl PreparedConv {
         let Scratch { act, pix } = scratch;
         self.gather_row(b, oy, &batch.levels, act);
         for (co, out_row) in out.chunks_mut(self.ow.max(1)).enumerate() {
-            let range = ck.row_range(co);
-            let (pos_aoff, pos_w) = ck.row_pos_list(co);
-            let (neg_aoff, neg_w) = ck.row_neg_list(co);
-            let view = RowView {
-                n: range.len(),
-                aoff: &ck.aoff[range.clone()],
-                group: &ck.group[range.clone()],
-                flags: &ck.flags[range],
-                wp: ck.row_pos(co),
-                wn: ck.row_neg(co),
-                pos_aoff,
-                pos_w,
-                neg_aoff,
-                neg_w,
-            };
+            let view = ck.row(co);
             for (ox, out_v) in out_row.iter_mut().enumerate() {
                 *out_v = M::pixel(pix, &view, act, ox, self.words) as f32 / self.len as f32;
             }
@@ -1672,7 +1507,7 @@ impl PreparedLinear {
             )));
         }
         let compact = CompactKernel::build(&r, 1);
-        let scratch = ScratchPool::new(r.groups, words, compact.max_row_lanes(), features, 1);
+        let scratch = ScratchPool::new(r.groups, words, compact.max_row_entries(), features, 1);
         Ok(PreparedLinear {
             mode: config.accumulation,
             len: r.len,
@@ -1766,7 +1601,7 @@ impl PreparedLinear {
     /// monomorphized over the accumulation-mode kernel. A worker's run is
     /// contiguous in `(b, o)` order, so the batch element's activation
     /// gather is performed once per `b` and shared by its `outf` neurons;
-    /// a neuron's [`RowView`] borrows the kernel SoA arrays directly.
+    /// a neuron's two [`RowView`]s borrow its lane lists directly.
     fn compute_chunk<M: ModeKernel>(
         &self,
         start: usize,
@@ -1785,21 +1620,7 @@ impl PreparedLinear {
                 self.gather_batch(b, &batch.levels, act);
                 cur_b = b;
             }
-            let range = ck.row_range(o);
-            let (pos_aoff, pos_w) = ck.row_pos_list(o);
-            let (neg_aoff, neg_w) = ck.row_neg_list(o);
-            let view = RowView {
-                n: range.len(),
-                aoff: &ck.aoff[range.clone()],
-                group: &ck.group[range.clone()],
-                flags: &ck.flags[range],
-                wp: ck.row_pos(o),
-                wn: ck.row_neg(o),
-                pos_aoff,
-                pos_w,
-                neg_aoff,
-                neg_w,
-            };
+            let view = ck.row(o);
             *out_v = M::pixel(pix, &view, act, 0, self.words) as f32 / self.len as f32;
         }
     }
@@ -2449,7 +2270,7 @@ impl ScEngine {
         // each lane feeds precomputed from its kernel coordinates.
         let mut weights = WeightTables::default();
         let mut lanes = Vec::with_capacity(cout * volume);
-        let mut kept = 0;
+        let (mut kept, mut live) = (0, [0; 2]);
         for co in 0..cout {
             for ci in 0..cin {
                 for ky in 0..k {
@@ -2466,6 +2287,8 @@ impl ScEngine {
                         };
                         let lane = WeightRef::new(&weights.tables, table, levels, group)?;
                         kept += usize::from(!lane.is_zero());
+                        live[0] += usize::from(lane.pos > 0);
+                        live[1] += usize::from(lane.neg > 0);
                         lanes.push(lane);
                     }
                 }
@@ -2485,6 +2308,7 @@ impl ScEngine {
             tables: weights.tables,
             lanes,
             kept,
+            live,
         })
     }
 
@@ -2519,7 +2343,7 @@ impl ScEngine {
             .collect::<Result<_, _>>()?;
         let mut weights = WeightTables::default();
         let mut lanes = Vec::with_capacity(outf * features);
-        let mut kept = 0;
+        let (mut kept, mut live) = (0, [0; 2]);
         for o in 0..outf {
             for i in 0..features {
                 let (ci, wi) = (i / wdim, i % wdim);
@@ -2533,6 +2357,8 @@ impl ScEngine {
                 };
                 let lane = WeightRef::new(&weights.tables, table, levels, group)?;
                 kept += usize::from(!lane.is_zero());
+                live[0] += usize::from(lane.pos > 0);
+                live[1] += usize::from(lane.neg > 0);
                 lanes.push(lane);
             }
         }
@@ -2549,6 +2375,7 @@ impl ScEngine {
             tables: weights.tables,
             lanes,
             kept,
+            live,
         })
     }
 }
@@ -3330,12 +3157,47 @@ mod tests {
             .unwrap()
     }
 
-    /// Each row's nonzero lane indices in resolve order: the lanes
-    /// compaction must keep.
-    fn kept_lanes(r: &Resolved) -> Vec<usize> {
+    /// Row `row`'s live halves of one polarity (0 positive, 1 negative) in
+    /// resolve order, as `(lane index, group, stream words)`: the entries
+    /// compaction must keep in that polarity's list.
+    fn live_halves(r: &Resolved, row: usize, polarity: usize) -> Vec<(usize, u32, &[u64])> {
         let per_row = r.act_tables.len();
-        let kept = r.lanes.iter().enumerate().filter(|(_, l)| !l.is_zero());
-        kept.map(|(i, _)| i % per_row).collect()
+        let lanes = r.lanes[row * per_row..][..per_row].iter().enumerate();
+        let level = |l: &WeightRef| [l.pos, l.neg][polarity];
+        let live = lanes.filter(|(_, l)| level(l) > 0);
+        live.map(|(i, l)| {
+            (
+                i,
+                l.group as u32,
+                r.tables[l.table as usize].words(level(l)),
+            )
+        })
+        .collect()
+    }
+
+    /// Asserts that `ck`'s two lists hold exactly `r`'s live halves, per
+    /// row and polarity in resolve order, each with gather offset
+    /// `lane · act_stride`, its group and its table's words — so zero
+    /// lanes appear nowhere — and that they store live halves × `words`
+    /// words in all.
+    fn assert_lists_match_resolve(ck: &CompactKernel, r: &Resolved, act_stride: usize) {
+        let mut live = 0;
+        for (polarity, list) in [&ck.pos, &ck.neg].into_iter().enumerate() {
+            assert_eq!(list.offsets.len(), r.rows + 1);
+            for row in 0..r.rows {
+                let want = live_halves(r, row, polarity);
+                let view = list.row(row, ck.words);
+                assert_eq!(view.aoff.len(), want.len(), "row {row} polarity {polarity}");
+                for (i, &(lane, group, words)) in want.iter().enumerate() {
+                    assert_eq!(view.aoff[i] as usize, lane * act_stride);
+                    assert_eq!(view.group[i], group);
+                    assert_eq!(&view.w[i * ck.words..][..ck.words], words);
+                }
+                live += want.len();
+            }
+        }
+        assert_eq!(live, r.live[0] + r.live[1]);
+        assert_eq!(ck.pos.w.len() + ck.neg.w.len(), live * ck.words);
     }
 
     #[test]
@@ -3526,10 +3388,10 @@ mod tests {
 
     #[test]
     fn gather_offsets_address_the_hoisted_row_buffer() {
-        // A compacted lane's `aoff` must point at its kernel position's
-        // run in the shared per-(b, oy) gather buffer — `lane · ow` for
-        // conv, `lane` for linear — and the position metadata must invert
-        // the lane index exactly.
+        // A list entry's `aoff` must point at its kernel position's run in
+        // the shared per-(b, oy) gather buffer — `lane · ow` for conv,
+        // `lane` for linear — and the position metadata must invert the
+        // lane index exactly.
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let conv = geo_nn::Conv2d::new(2, 3, 3, 1, 1, false, &mut rng);
@@ -3538,9 +3400,7 @@ mod tests {
         let rc = prepare_conv_one(&mut eng, &conv, &x);
         let k = conv.kernel();
         let resolved = resolve_one(&mut eng, Layer::Conv2d(conv.clone()), x.shape());
-        for (p, &lane) in kept_lanes(&resolved).iter().enumerate() {
-            assert_eq!(rc.compact.aoff[p] as usize, lane * rc.ow);
-        }
+        assert_lists_match_resolve(&rc.compact, &resolved, rc.ow);
         for lane in 0..rc.volume {
             assert_eq!(rc.pos_ci[lane] as usize, lane / (k * k));
             assert_eq!(rc.pos_ky[lane] as usize, (lane % (k * k)) / k);
@@ -3555,9 +3415,7 @@ mod tests {
         };
         assert_eq!(rl.pos_ao.len(), rl.features);
         let resolved = resolve_one(&mut eng, Layer::Linear(lin), xl.shape());
-        for (p, &lane) in kept_lanes(&resolved).iter().enumerate() {
-            assert_eq!(rl.compact.aoff[p] as usize, lane);
-        }
+        assert_lists_match_resolve(&rl.compact, &resolved, 1);
     }
 
     #[test]
@@ -3657,56 +3515,23 @@ mod tests {
 
     #[test]
     fn compact_kernel_drops_only_zero_lanes() {
-        // Every nonzero resolved lane appears in the compacted list, in
-        // resolve order, and every zero lane is gone.
+        // Every live resolved half appears in its polarity's list for its
+        // row, in resolve order, and every zero lane is gone.
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let conv = geo_nn::Conv2d::new(2, 3, 3, 1, 1, false, &mut rng);
+        let mut conv = geo_nn::Conv2d::new(2, 3, 3, 1, 1, false, &mut rng);
+        for w in conv.weight.value.data_mut().iter_mut().step_by(4) {
+            *w = 0.0;
+        }
         let x = Tensor::full(&[1, 2, 5, 5], 0.5);
         let mut eng = engine(GeoConfig::geo(32, 32));
         let prepared = prepare_conv_one(&mut eng, &conv, &x);
         // The resolve's lane list and its tables' words are an independent
-        // source of truth for the packed position-major layout; each
-        // compacted lane's index is its gather offset over `ow`.
+        // source of truth for the compacted lists.
         let resolved = resolve_one(&mut eng, Layer::Conv2d(conv.clone()), x.shape());
-        let ck = &prepared.compact;
-        let words = prepared.words;
-        let lane: Vec<usize> = ck.aoff.iter().map(|&a| a as usize / prepared.ow).collect();
-        let nonzero: usize = resolved.lanes.iter().filter(|w| !w.is_zero()).count();
-        assert_eq!(lane.len(), nonzero);
-        assert_eq!(ck.offsets.len(), conv.cout() + 1);
-        for co in 0..conv.cout() {
-            let range = ck.row_range(co);
-            let n = range.len();
-            // Lane indices strictly ascend within a row (resolve order).
-            for pair in lane[range.clone()].windows(2) {
-                assert!(pair[0] < pair[1]);
-            }
-            let (wp, wn) = (ck.row_pos(co), ck.row_neg(co));
-            for (i, p) in range.clone().enumerate() {
-                let wref = &resolved.lanes[co * prepared.volume + lane[p]];
-                assert!(!wref.is_zero());
-                assert_eq!(ck.flags[p] & 1 != 0, wref.pos > 0);
-                assert_eq!(ck.flags[p] & 2 != 0, wref.neg > 0);
-                // Words are position-major: word j of every lane in the
-                // row is contiguous, absent halves stored as zeros.
-                for j in 0..words {
-                    let table = &resolved.tables[wref.table as usize];
-                    let want_pos = if wref.pos > 0 {
-                        table.words(wref.pos)[j]
-                    } else {
-                        0
-                    };
-                    let want_neg = if wref.neg > 0 {
-                        table.words(wref.neg)[j]
-                    } else {
-                        0
-                    };
-                    assert_eq!(wp[j * n + i], want_pos, "co={co} lane {i} word {j}");
-                    assert_eq!(wn[j * n + i], want_neg, "co={co} lane {i} word {j}");
-                }
-            }
-        }
+        assert!(resolved.kept < resolved.lanes.len(), "some lanes are zero");
+        assert!(resolved.live.iter().all(|&n| n > 0), "both polarities live");
+        assert_lists_match_resolve(&prepared.compact, &resolved, prepared.ow);
     }
 
     #[test]

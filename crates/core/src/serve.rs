@@ -232,8 +232,16 @@ fn dispatch(prepared: &PreparedModel, rx: &Receiver<Request>, max_batch: usize) 
 }
 
 /// Runs one shape-compatible group as a single forward pass and replies
-/// to every member. Group errors fan out to all members.
+/// to every member. Group errors fan out to all members. Inputs without a
+/// batch dimension (0-d tensors) have nothing to concatenate along, so
+/// each of them runs alone and gets the engine's own shape error.
 fn run_group(prepared: &PreparedModel, group: &[Request]) {
+    if group.len() > 1 && group[0].input.shape().is_empty() {
+        for req in group {
+            run_group(prepared, std::slice::from_ref(req));
+        }
+        return;
+    }
     let result = if group.len() == 1 {
         prepared.forward(&group[0].input).map(|out| vec![out])
     } else {
@@ -363,6 +371,35 @@ mod tests {
     fn overflow_reports_queue_capacity() {
         let err = GeoError::ServeOverflow { capacity: 2 };
         assert!(err.to_string().contains("2 requests"));
+    }
+
+    #[test]
+    fn zero_dim_requests_run_alone_and_get_the_shape_error() {
+        // Two 0-d requests drained together share the (absent) non-batch
+        // shape; fusing them would index a batch dimension they lack.
+        let prepared = prepared_lenet();
+        let (reply, replies) = mpsc::channel();
+        let group: Vec<Request> = (0..2)
+            .map(|_| Request {
+                input: Tensor::full(&[], 0.5),
+                enqueued: Instant::now(),
+                reply: reply.clone(),
+            })
+            .collect();
+        run_group(&prepared, &group);
+        drop((group, reply));
+        let replies: Vec<_> = replies.iter().collect();
+        assert_eq!(replies.len(), 2);
+        for r in replies {
+            assert!(
+                matches!(
+                    &r,
+                    Err(GeoError::Nn(geo_nn::NnError::ShapeMismatch { actual, .. }))
+                        if actual.is_empty()
+                ),
+                "{r:?}"
+            );
+        }
     }
 
     #[test]

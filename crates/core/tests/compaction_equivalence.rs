@@ -214,21 +214,25 @@ proptest! {
 /// 3 against a 3×3 kernel, interior spans are empty (or nearly so) and
 /// every output pixel takes the border path. All five accumulation modes
 /// under both generation modes must match the reference at serial,
-/// uneven-split, and oversubscribed thread counts.
+/// uneven-split, and oversubscribed thread counts. The FC layer, last in
+/// the model, runs at the 128-cycle output length under both configs;
+/// GEO-32,32 runs the conv on one-word streams and GEO-64,128 on
+/// two-word ones, so every mode's one- and two-word conv paths run on
+/// border-only columns (APC's compacting fallback included).
 #[test]
 fn pad_exceeding_kernel_matches_reference_for_every_mode() {
-    for mode in Accumulation::ALL {
-        for progressive in [false, true] {
-            let cfg = GeoConfig::geo(32, 32)
-                .with_accumulation(mode)
-                .with_progressive(progressive);
-            let (model, x) = conv_model(7, 3, 1, 3);
-            for threads in [1, 2, 8] {
-                let (reference, compacted) = forward_both(threads, cfg, &model, &x);
-                assert_eq!(
-                    reference, compacted,
-                    "{mode:?} progressive={progressive} diverged at {threads} threads"
-                );
+    for base in [GeoConfig::geo(32, 32), GeoConfig::geo(64, 128)] {
+        for mode in Accumulation::ALL {
+            for progressive in [false, true] {
+                let cfg = base.with_accumulation(mode).with_progressive(progressive);
+                let (model, x) = conv_model(7, 3, 1, 3);
+                for threads in [1, 2, 8] {
+                    let (reference, compacted) = forward_both(threads, cfg, &model, &x);
+                    assert_eq!(
+                        reference, compacted,
+                        "{mode:?} progressive={progressive} diverged at {threads} threads"
+                    );
+                }
             }
         }
     }
