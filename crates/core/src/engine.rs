@@ -27,17 +27,22 @@
 //!    every computation that is invariant across requests and output
 //!    positions: zero-weight lanes are compacted away into
 //!    per-output-channel, per-polarity [`CompactKernel`] lists that hold
-//!    each weight's live split half once, activation tables are
-//!    flattened into the gather slab, and per-worker [`Scratch`] sizing
-//!    is fixed. Nothing in a prepared layer depends on the activations.
+//!    each weight's live split half once, and activation tables are
+//!    flattened into the gather slab. Nothing in a prepared layer depends
+//!    on the activations; compute draws its per-worker [`Scratch`] from
+//!    one process-wide grow-only pool.
 //! 2. **Compute** (pure, `&self`): the request's activations are
-//!    quantized and range-validated ([`ActBatch`]), then output positions
-//!    `(b, co, oy, ox)` are computed over disjoint output slices, in
-//!    parallel across `rayon` workers. Each position's accumulators are
-//!    position-local and the prepared state is immutable, so the result
-//!    is **bit-identical to the serial engine at every thread count** —
-//!    the correctness contract `crates/core/tests/parallel_equivalence.rs`
-//!    enforces.
+//!    quantized and range-validated ([`ActBatch`]), then disjoint output
+//!    slices are computed in parallel across `rayon` workers. A conv task
+//!    is a tile of output rows `(b, oy)`, sized by cache budgets on its
+//!    gathered activations and the worker count; it gathers its rows once
+//!    and streams every weight entry of every output channel across all
+//!    of its pixels (weight-stationary, GEO §III-C). A linear task is a
+//!    run of output neurons. Each pixel's accumulators are pixel-local
+//!    and the prepared state is immutable, so the result is
+//!    **bit-identical to the serial engine at every thread count and
+//!    tile size** — the correctness contract
+//!    `crates/core/tests/parallel_equivalence.rs` enforces.
 //!
 //! [`ScEngine::prepare`] hoists phase 1 for a whole network into an
 //! immutable, `Send + Sync`, `Arc`-shareable [`PreparedModel`] whose
@@ -63,9 +68,11 @@
 //! The compute phase walks dense arrays built at resolve time instead of
 //! re-deriving per-lane facts per pixel: per-row positive and negative
 //! lists of live weight halves with their stream words contiguous in
-//! memory (DESIGN.md §14), one activation gather per output row shared by
-//! every channel, and a one-level APC reduction that replaces per-MAC
-//! heap allocations. Compaction consumes the layer's resolve, whose lane
+//! memory (DESIGN.md §14). A conv tile gathers its rows' activations once,
+//! lane-major, and each list entry's words stay in registers while they
+//! stream across the tile's pixels into per-pixel accumulators; APC
+//! carries its compressor pairing per pixel instead of allocating per
+//! MAC. Compaction consumes the layer's resolve, whose lane
 //! list is transient. The pre-compaction kernels are retained verbatim (the
 //! [`reference`] module, reachable via [`ScEngine::forward_reference`]):
 //! a self-contained oracle over the same resolve, the bit-identity oracle
@@ -163,11 +170,11 @@ impl LaneTable {
 
 /// Copies every activation table's streams into one flat, level-indexed
 /// slab: lane `i`'s stream for level `lv` occupies
-/// `act_flat[act_off[i] + lv·words ..][..words]`. The hoisted row gather
-/// then reads packed words with one indexed load — no `LaneTable` enum
+/// `act_flat[act_off[i] + lv·words ..][..words]`. The hoisted gathers
+/// then read packed words with one indexed load — no `LaneTable` enum
 /// match, no `Arc` dereference, no per-level slice lookup — which is
 /// what licenses the branchless level-0 masking in
-/// [`PreparedConv::gather_row`] and [`PreparedLinear::gather_batch`].
+/// [`PreparedConv::gather_tile`] and [`PreparedLinear::gather_batch`].
 /// Tables shared between lanes are deduplicated by pointer identity, so
 /// the slab size tracks the layer's *distinct* tables.
 fn flatten_act_tables(
@@ -372,11 +379,10 @@ struct CompactKernel {
 #[derive(Debug)]
 struct LaneList {
     offsets: Vec<usize>,
-    /// Offset into the shared gathered-activation row buffer ([`ActBuf`]):
-    /// `lane · act_stride`, where `act_stride` is `ow` for conv (one
-    /// gathered word run per output column) and 1 for linear. A pixel's
-    /// activation word lives at `acts[(aoff + ox)·words + j]`, its nonzero
-    /// flag at `nz[aoff + ox]`.
+    /// Gather offset `lane · act_stride`, where `act_stride` is `ow` for
+    /// conv and 1 for linear. A linear entry's activation words live at
+    /// `acts[aoff·words ..]` of its [`ActBuf`]; a conv entry's run in a
+    /// tile of `rows` rows starts at unit `aoff·rows` ([`TileAct`]).
     aoff: Vec<u32>,
     /// Accumulator group each entry feeds.
     group: Vec<u32>,
@@ -508,8 +514,8 @@ struct PreparedConv {
     /// nonzero level there feeds ([`ActBatch::macs`]): one per output
     /// pixel reading it through kernel position `l`, times `lane_rows[l]`.
     mac_weights: Vec<u64>,
-    /// Per-worker scratch buffers, pooled across requests (serve path).
-    scratch: ScratchPool,
+    /// Accumulator groups per output pixel (partial binary accumulation).
+    groups: usize,
 }
 
 /// Everything input-independent that the pure compute phase needs for one
@@ -533,8 +539,10 @@ struct PreparedLinear {
     compact: CompactKernel,
     /// Flat activation-table offset per input feature.
     pos_ao: Vec<u32>,
-    /// Per-worker scratch buffers, pooled across requests (serve path).
-    scratch: ScratchPool,
+    /// Accumulator groups per output neuron (partial binary accumulation).
+    groups: usize,
+    /// Most entries any row holds in either list: the APC product gather.
+    max_row_entries: usize,
 }
 
 /// One request's quantized activations: the only input-dependent state a
@@ -691,14 +699,15 @@ const _: () = {
 
 /// A borrowed, gather-ready view of one output row's entries in one
 /// [`LaneList`]. Every slice aliases the list's arrays directly — there is
-/// no per-row repacking; entries whose input row falls outside the image
-/// read zero words from the shared [`ActBuf`] instead (see
-/// [`PreparedConv::gather_row`]).
+/// no per-row repacking; entries whose input falls outside the image
+/// read zero words from the gathered activations instead (see
+/// [`PreparedConv::gather_tile`]).
 #[derive(Clone, Copy)]
 struct RowView<'a> {
-    /// Per-entry base offsets into the gathered activations: entry `i` of
-    /// pixel `ox` reads `acts[(aoff[i] + ox)·words ..]` and
-    /// `nz[aoff[i] + ox]`.
+    /// Per-entry gather offsets (`lane · act_stride`): a linear entry `i`
+    /// reads `acts[aoff[i]·words ..]` and `nz[aoff[i]]` of its [`ActBuf`];
+    /// a conv entry's run in a tile of `rows` rows starts at unit
+    /// `aoff[i]·rows` ([`TileAct`]).
     aoff: &'a [u32],
     /// Per-entry accumulator groups.
     group: &'a [u32],
@@ -706,235 +715,138 @@ struct RowView<'a> {
     w: &'a [u64],
 }
 
-/// Per-worker gathered-activation buffers, shared across every output
-/// channel of a spatial row (conv) or every output neuron of a batch
-/// element (linear). Conv activation tables are per kernel position —
-/// identical for all `cout` channels — so hoisting the gather out of the
-/// channel loop amortizes it `cout`× (respectively `outf`× for linear).
-struct ActBuf {
+/// A linear batch element's gathered activations, as the [`ModeKernel`]s
+/// read them: one unit per input feature, shared by every output neuron
+/// of the element, so the gather is amortized `outf`×.
+struct ActBuf<'a> {
     /// Gathered activation words, `units · words`, lane-major within a
-    /// unit (`acts[u·words + j]`), zeroed for skipped (level-0 or
-    /// out-of-bounds) units.
-    acts: Vec<u64>,
+    /// unit (`acts[u·words + j]`), zeroed for skipped (level-0) units.
+    acts: &'a [u64],
     /// Per-unit nonzero-activation flags (0/1) — APC gating.
-    nz: Vec<u8>,
-    /// Per-output-column count of zero (level-0 or out-of-bounds) units
-    /// across every kernel position (conv: `ow` entries; linear: one).
-    /// `zeros[ox] == 0` proves every lane of every row is live at that
-    /// column, licensing the APC kernels' statically-paired fast path.
-    zeros: Vec<u32>,
+    nz: &'a [u8],
+    /// Count of zero (level-0) units. Zero proves every lane of every row
+    /// is live, licensing the APC kernel's statically-paired fast path.
+    zeros: u32,
 }
 
-impl ActBuf {
-    fn new(units: usize, words: usize, cols: usize) -> Self {
-        ActBuf {
-            acts: vec![0u64; units * words],
-            nz: vec![0u8; units],
-            zeros: vec![0u32; cols],
-        }
-    }
-}
-
-/// Per-worker pixel buffers: the APC product gather and the grouped
-/// accumulators, each reused for one polarity list after the other. All
-/// sized once at construction from resolve-time constants — the hot loop
-/// performs no heap allocation in any mode.
-struct PixelBuf {
+/// A linear worker's accumulator buffers, each reused for one polarity
+/// list after the other.
+struct PixelBuf<'a> {
     /// APC product gather, lane-major (`words` adjacent words per kept
     /// product, arrival order preserved).
-    prod: Vec<u64>,
+    prod: &'a mut [u64],
     /// Grouped accumulators (`groups·words`), Pbw/Pbhw (and multiword Or).
-    acc: Vec<u64>,
+    acc: &'a mut [u64],
 }
 
-impl PixelBuf {
-    fn new(groups: usize, words: usize, max_row_entries: usize) -> Self {
-        PixelBuf {
-            prod: vec![0u64; max_row_entries * words],
-            acc: vec![0u64; groups * words],
-        }
-    }
-}
-
-/// Per-worker scratch for the compacted kernels, allocated once per
-/// worker (`for_each_init`). Split into activation and pixel halves so
-/// the pixel kernels can read the gathered activations while mutating
-/// their accumulators.
+/// Per-worker compute buffers of the conv tile loop and the linear
+/// kernels. Grow-only: [`Pooled::take`] grows them once per worker and
+/// layer, and the per-task loops only slice them, so they never allocate.
+#[derive(Default)]
 struct Scratch {
-    act: ActBuf,
-    pix: PixelBuf,
+    /// Gathered activation words: a conv tile's `[lane][pixel][word]`
+    /// (lane `l`'s run of the tile's `rows·ow` pixels starts at unit
+    /// `l·rows·ow`), or a linear batch element's `[feature][word]`.
+    acts: Vec<u64>,
+    /// Per-unit nonzero-activation flags (0/1), laid out like `acts`.
+    nz: Vec<u8>,
+    /// OR accumulators per group (linear) or per group and pixel (conv
+    /// Or, Pbw, Pbhw), or each conv pixel's held APC product.
+    acc: Vec<u64>,
+    /// The linear APC product gather ([`PixelBuf::prod`]).
+    prod: Vec<u64>,
+    /// Per-pixel APC open-pair flags (conv).
+    open: Vec<u64>,
+    /// Per-pixel counts of the positive and negative lists (conv).
+    counts: [Vec<i64>; 2],
+    /// One output channel's values across a conv tile.
+    vals: Vec<f32>,
 }
 
-impl Scratch {
-    fn new(
-        groups: usize,
-        words: usize,
-        max_row_entries: usize,
-        gather_units: usize,
-        gather_cols: usize,
-    ) -> Self {
-        Scratch {
-            act: ActBuf::new(gather_units, words, gather_cols),
-            pix: PixelBuf::new(groups, words, max_row_entries),
-        }
-    }
+/// The process's one grow-only pool of [`Scratch`]: a buffer set per
+/// worker that ran concurrently, each grown to the largest task it has
+/// held. Every conv and linear layer of every engine and prepared model
+/// draws from it, so what stays allocated is the largest layer's scratch,
+/// not its sum over layers, models and engines, and repeated forwards
+/// reuse it.
+static SCRATCH: Mutex<Vec<Scratch>> = Mutex::new(Vec::new());
 
-    /// Debug-build invariant: no scratch buffer reallocated after
-    /// construction — the sizing contract of the compacted kernels.
-    #[inline]
-    fn debug_check(&self) {
-        debug_assert_eq!(
-            self.act.acts.len(),
-            self.act.nz.len() * self.words_per_unit()
-        );
-    }
-
-    #[inline]
-    fn words_per_unit(&self) -> usize {
-        if self.act.nz.is_empty() {
-            1
-        } else {
-            self.act.acts.len() / self.act.nz.len()
-        }
-    }
+/// Locks [`SCRATCH`]. Buffers are overwrite-before-read, so a worker that
+/// panicked cannot leave one half-valid: recover the poison.
+fn scratch_pool() -> std::sync::MutexGuard<'static, Vec<Scratch>> {
+    SCRATCH.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// A pool of per-worker [`Scratch`] buffers owned by a prepared layer, so
-/// repeated requests through one `PreparedModel` reuse the same
-/// allocations instead of paying a fresh `Scratch::new` per worker per
-/// forward. Sizing is fixed at prepare time (it depends only on layer
-/// geometry), and returning workers debug-assert their buffers kept those
-/// sizes — the cross-request analogue of [`Scratch::debug_check`].
-struct ScratchPool {
-    groups: usize,
-    words: usize,
-    max_row_entries: usize,
-    gather_units: usize,
-    gather_cols: usize,
-    pool: Mutex<Vec<Scratch>>,
-}
-
-impl ScratchPool {
-    fn new(
-        groups: usize,
-        words: usize,
-        max_row_entries: usize,
-        gather_units: usize,
-        gather_cols: usize,
-    ) -> Self {
-        ScratchPool {
-            groups,
-            words,
-            max_row_entries,
-            gather_units,
-            gather_cols,
-            pool: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Pops a pooled scratch, or allocates one to the layer's fixed
-    /// dimensions if every buffer is checked out. The guard returns it on
-    /// drop.
-    fn take(&self) -> PooledScratch<'_> {
-        let reused = self.lock().pop();
-        let scratch = reused.unwrap_or_else(|| {
-            Scratch::new(
-                self.groups,
-                self.words,
-                self.max_row_entries,
-                self.gather_units,
-                self.gather_cols,
-            )
-        });
-        PooledScratch {
-            pool: self,
-            scratch: Some(scratch),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Scratch>> {
-        // A panicking worker cannot leave a Scratch half-valid: buffers
-        // are plain overwrite-before-read arrays, so recover the poison.
-        self.pool.lock().unwrap_or_else(|p| p.into_inner())
+/// Grows `v` to at least `len` elements. The old buffer is freed first,
+/// so the two never coexist.
+fn grow<T: Copy + Default>(v: &mut Vec<T>, len: usize) {
+    if v.len() < len {
+        *v = Vec::new();
+        v.resize(len, T::default());
     }
 }
 
-/// RAII guard over a pooled [`Scratch`]: derefs to the buffer and returns
-/// it to the pool on drop, debug-asserting it was not reallocated while
-/// checked out (the non-reallocation contract of the serve path).
-struct PooledScratch<'a> {
-    pool: &'a ScratchPool,
-    scratch: Option<Scratch>,
-}
+/// RAII guard over a [`Scratch`] taken from [`SCRATCH`], returned to it
+/// on drop.
+struct Pooled(Scratch);
 
-impl std::ops::Deref for PooledScratch<'_> {
-    type Target = Scratch;
-    fn deref(&self) -> &Scratch {
-        self.scratch.as_ref().expect("scratch present until drop")
+impl Pooled {
+    /// A pooled scratch, its buffers grown by `sizes` (through [`grow`])
+    /// to what the caller's layer reads.
+    fn take(sizes: impl FnOnce(&mut Scratch)) -> Pooled {
+        let mut s = scratch_pool().pop().unwrap_or_default();
+        sizes(&mut s);
+        Pooled(s)
     }
 }
 
-impl std::ops::DerefMut for PooledScratch<'_> {
-    fn deref_mut(&mut self) -> &mut Scratch {
-        self.scratch.as_mut().expect("scratch present until drop")
-    }
-}
-
-impl Drop for PooledScratch<'_> {
+impl Drop for Pooled {
     fn drop(&mut self) {
-        if let Some(s) = self.scratch.take() {
-            debug_assert_eq!(s.act.acts.len(), self.pool.gather_units * self.pool.words);
-            debug_assert_eq!(s.act.nz.len(), self.pool.gather_units);
-            debug_assert_eq!(s.act.zeros.len(), self.pool.gather_cols);
-            debug_assert_eq!(s.pix.acc.len(), self.pool.groups * self.pool.words);
-            debug_assert_eq!(
-                s.pix.prod.len(),
-                self.pool.max_row_entries * self.pool.words
-            );
-            self.pool.lock().push(s);
-        }
+        let s = std::mem::take(&mut self.0);
+        scratch_pool().push(s);
     }
 }
 
-/// Row-level monomorphized accumulation kernels (DESIGN.md §14): the row
-/// loop dispatches on the layer's accumulation mode once, and each mode's
-/// count is a straight-line SWAR reduction over one polarity list's
-/// gathered activation words — 4 entries per inner-loop iteration,
-/// popcounts combined by pairwise adds — with no per-MAC mode or liveness
-/// branch. A pixel is the positive list's count minus the negative list's:
-/// OR folds and popcount sums split by polarity exactly, and each list
-/// keeps the resolve order APC pairs products in.
+/// The linear layer's monomorphized per-neuron accumulation kernels
+/// (DESIGN.md §14): a worker's run dispatches on the layer's accumulation
+/// mode once, and each mode's count is a straight-line SWAR reduction
+/// over one polarity list's gathered activation words — 4 entries per
+/// inner-loop iteration, popcounts combined by pairwise adds — with no
+/// per-MAC mode or liveness branch. A neuron is the positive list's count
+/// minus the negative list's: OR folds and popcount sums split by
+/// polarity exactly, and each list keeps the resolve order APC pairs
+/// products in. (Conv layers run the [`TileKernel`]s.)
 trait ModeKernel {
-    /// The accumulated count of one polarity list at column `ox`: entry
-    /// `i` reads its activation words at `act.acts[(aoff[i] + ox)·words ..]`.
-    fn count(pix: &mut PixelBuf, list: &RowView, act: &ActBuf, ox: usize, words: usize) -> i64;
+    /// The accumulated count of one polarity list: entry `i` reads its
+    /// activation words at `act.acts[aoff[i]·words ..]`.
+    fn count(pix: &mut PixelBuf, list: &RowView, act: &ActBuf, words: usize) -> i64;
 
-    /// The signed accumulated count of one pixel from its row's
+    /// The signed accumulated count of one neuron from its row's
     /// `[positive, negative]` list views.
     #[inline]
-    fn pixel(pix: &mut PixelBuf, row: &[RowView; 2], act: &ActBuf, ox: usize, words: usize) -> i64 {
-        Self::count(pix, &row[0], act, ox, words) - Self::count(pix, &row[1], act, ox, words)
+    fn neuron(pix: &mut PixelBuf, row: &[RowView; 2], act: &ActBuf, words: usize) -> i64 {
+        Self::count(pix, &row[0], act, words) - Self::count(pix, &row[1], act, words)
     }
 }
 
-/// 4-wide OR/AND reduction of one single-word list at one pixel: the OR
+/// 4-wide OR/AND reduction of one single-word list: the OR
 /// accumulation collapses into four independent register accumulators
 /// folded by a pairwise tree. OR is associative and commutative, so any
 /// reduction shape is bit-identical to the reference kernels' sequential
 /// fold.
 #[inline]
-fn or_fold(aoff: &[u32], ox: usize, acts: &[u64], w: &[u64]) -> u64 {
+fn or_fold(aoff: &[u32], acts: &[u64], w: &[u64]) -> u64 {
     let (mut p0, mut p1, mut p2, mut p3) = (0u64, 0u64, 0u64, 0u64);
     let mut o4 = aoff.chunks_exact(4);
     let mut w4 = w.chunks_exact(4);
     for (o, w) in (&mut o4).zip(&mut w4) {
-        p0 |= acts[o[0] as usize + ox] & w[0];
-        p1 |= acts[o[1] as usize + ox] & w[1];
-        p2 |= acts[o[2] as usize + ox] & w[2];
-        p3 |= acts[o[3] as usize + ox] & w[3];
+        p0 |= acts[o[0] as usize] & w[0];
+        p1 |= acts[o[1] as usize] & w[1];
+        p2 |= acts[o[2] as usize] & w[2];
+        p3 |= acts[o[3] as usize] & w[3];
     }
     for (&o, &w) in o4.remainder().iter().zip(w4.remainder()) {
-        p0 |= acts[o as usize + ox] & w;
+        p0 |= acts[o as usize] & w;
     }
     (p0 | p1) | (p2 | p3)
 }
@@ -945,12 +857,12 @@ struct OrKernel;
 
 impl ModeKernel for OrKernel {
     #[inline]
-    fn count(pix: &mut PixelBuf, list: &RowView, act: &ActBuf, ox: usize, words: usize) -> i64 {
+    fn count(pix: &mut PixelBuf, list: &RowView, act: &ActBuf, words: usize) -> i64 {
         if words == 1 {
-            return i64::from(or_fold(list.aoff, ox, &act.acts, list.w).count_ones());
+            return i64::from(or_fold(list.aoff, act.acts, list.w).count_ones());
         }
         // Every OR entry feeds group 0, so the grouped fold is the OR fold.
-        GroupedKernel::count(pix, list, act, ox, words)
+        GroupedKernel::count(pix, list, act, words)
     }
 }
 
@@ -960,18 +872,18 @@ struct GroupedKernel;
 
 impl ModeKernel for GroupedKernel {
     #[inline]
-    fn count(pix: &mut PixelBuf, list: &RowView, act: &ActBuf, ox: usize, words: usize) -> i64 {
-        let (acc, acts) = (&mut pix.acc, &act.acts);
+    fn count(pix: &mut PixelBuf, list: &RowView, act: &ActBuf, words: usize) -> i64 {
+        let (acc, acts) = (&mut *pix.acc, act.acts);
         acc.fill(0);
         if words == 1 {
             let mut o4 = list.aoff.chunks_exact(4);
             let mut w4 = list.w.chunks_exact(4);
             let mut g4 = list.group.chunks_exact(4);
             for ((o, w), g) in (&mut o4).zip(&mut w4).zip(&mut g4) {
-                let a0 = acts[o[0] as usize + ox];
-                let a1 = acts[o[1] as usize + ox];
-                let a2 = acts[o[2] as usize + ox];
-                let a3 = acts[o[3] as usize + ox];
+                let a0 = acts[o[0] as usize];
+                let a1 = acts[o[1] as usize];
+                let a2 = acts[o[2] as usize];
+                let a3 = acts[o[3] as usize];
                 acc[g[0] as usize] |= a0 & w[0];
                 acc[g[1] as usize] |= a1 & w[1];
                 acc[g[2] as usize] |= a2 & w[2];
@@ -979,12 +891,12 @@ impl ModeKernel for GroupedKernel {
             }
             let rest = o4.remainder().iter().zip(w4.remainder());
             for ((&o, &w), &g) in rest.zip(g4.remainder()) {
-                acc[g as usize] |= acts[o as usize + ox] & w;
+                acc[g as usize] |= acts[o as usize] & w;
             }
         } else {
             let entries = list.aoff.iter().zip(list.group);
             for ((&o, &g), w) in entries.zip(list.w.chunks_exact(words)) {
-                let a = &acts[(o as usize + ox) * words..][..words];
+                let a = &acts[o as usize * words..][..words];
                 let acc_g = &mut acc[g as usize * words..][..words];
                 for ((s, &a), &w) in acc_g.iter_mut().zip(a).zip(w) {
                     *s |= a & w;
@@ -995,23 +907,23 @@ impl ModeKernel for GroupedKernel {
     }
 }
 
-/// 4-wide popcount reduction of one single-word list at one pixel: four
+/// 4-wide popcount reduction of one single-word list: four
 /// independent counters, combined by pairwise adds. Exact integer
 /// arithmetic, so any association is bit-identical to the reference
 /// fold.
 #[inline]
-fn fxp_fold(aoff: &[u32], ox: usize, acts: &[u64], w: &[u64]) -> i64 {
+fn fxp_fold(aoff: &[u32], acts: &[u64], w: &[u64]) -> i64 {
     let (mut c0, mut c1, mut c2, mut c3) = (0i64, 0i64, 0i64, 0i64);
     let mut o4 = aoff.chunks_exact(4);
     let mut w4 = w.chunks_exact(4);
     for (o, w) in (&mut o4).zip(&mut w4) {
-        c0 += i64::from((acts[o[0] as usize + ox] & w[0]).count_ones());
-        c1 += i64::from((acts[o[1] as usize + ox] & w[1]).count_ones());
-        c2 += i64::from((acts[o[2] as usize + ox] & w[2]).count_ones());
-        c3 += i64::from((acts[o[3] as usize + ox] & w[3]).count_ones());
+        c0 += i64::from((acts[o[0] as usize] & w[0]).count_ones());
+        c1 += i64::from((acts[o[1] as usize] & w[1]).count_ones());
+        c2 += i64::from((acts[o[2] as usize] & w[2]).count_ones());
+        c3 += i64::from((acts[o[3] as usize] & w[3]).count_ones());
     }
     for (&o, &w) in o4.remainder().iter().zip(w4.remainder()) {
-        c0 += i64::from((acts[o as usize + ox] & w).count_ones());
+        c0 += i64::from((acts[o as usize] & w).count_ones());
     }
     (c0 + c1) + (c2 + c3)
 }
@@ -1021,13 +933,13 @@ struct FxpKernel;
 
 impl ModeKernel for FxpKernel {
     #[inline]
-    fn count(_pix: &mut PixelBuf, list: &RowView, act: &ActBuf, ox: usize, words: usize) -> i64 {
+    fn count(_pix: &mut PixelBuf, list: &RowView, act: &ActBuf, words: usize) -> i64 {
         if words == 1 {
-            return fxp_fold(list.aoff, ox, &act.acts, list.w);
+            return fxp_fold(list.aoff, act.acts, list.w);
         }
         let mut total = 0i64;
         for (&o, w) in list.aoff.iter().zip(list.w.chunks_exact(words)) {
-            let a = &act.acts[(o as usize + ox) * words..][..words];
+            let a = &act.acts[o as usize * words..][..words];
             for (&a, &w) in a.iter().zip(w) {
                 total += i64::from((a & w).count_ones());
             }
@@ -1045,49 +957,49 @@ impl ModeKernel for FxpKernel {
 /// staging and full ILP. Integer-exact, so bit-identical to
 /// [`geo_sc::apc::apc_reduce`] by construction.
 #[inline]
-fn apc_static(aoff: &[u32], w: &[u64], ox: usize, acts: &[u64]) -> i64 {
+fn apc_static(aoff: &[u32], w: &[u64], acts: &[u64]) -> i64 {
     let mut sum = 0i64;
     let mut o2 = aoff.chunks_exact(2);
     let mut w2 = w.chunks_exact(2);
     for (o, ww) in (&mut o2).zip(&mut w2) {
-        let a = acts[o[0] as usize + ox] & ww[0];
-        let b = acts[o[1] as usize + ox] & ww[1];
+        let a = acts[o[0] as usize] & ww[0];
+        let b = acts[o[1] as usize] & ww[1];
         sum += i64::from(a.count_ones()) + i64::from(b.count_ones());
         sum += i64::from((a & b).count_ones());
     }
     if let (Some(&o), Some(&ww)) = (o2.remainder().first(), w2.remainder().first()) {
-        sum += i64::from((acts[o as usize + ox] & ww).count_ones());
+        sum += i64::from((acts[o as usize] & ww).count_ones());
     }
     sum
 }
 
-/// One-level APC accumulation over one polarity list. Single-word columns
-/// with no zero activation anywhere (`ActBuf::zeros`) — the overwhelming
-/// majority on interior pixels — take [`apc_static`]; every other column
-/// compacts the list's live products into scratch (write always, advance
-/// by the unit's nonzero flag — branchless, and the cursor never outruns
-/// the entry index) preserving the reference kernels' push order exactly,
-/// then reduces with [`geo_sc::apc::apc_reduce`].
+/// One-level APC accumulation over one polarity list. Single-word
+/// neurons with no zero activation anywhere ([`ActBuf::zeros`]) take
+/// [`apc_static`]; every other neuron compacts the list's live products
+/// into scratch (write always, advance by the unit's nonzero flag —
+/// branchless, and the cursor never outruns the entry index) preserving
+/// the reference kernels' push order exactly, then reduces with
+/// [`geo_sc::apc::apc_reduce`].
 struct ApcKernel;
 
 impl ModeKernel for ApcKernel {
     #[inline]
-    fn count(pix: &mut PixelBuf, list: &RowView, act: &ActBuf, ox: usize, words: usize) -> i64 {
-        let prod = &mut pix.prod;
+    fn count(pix: &mut PixelBuf, list: &RowView, act: &ActBuf, words: usize) -> i64 {
+        let prod = &mut *pix.prod;
         let mut np = 0usize;
         if words == 1 {
-            if act.zeros[ox] == 0 {
-                return apc_static(list.aoff, list.w, ox, &act.acts);
+            if act.zeros == 0 {
+                return apc_static(list.aoff, list.w, act.acts);
             }
             for (&o, &w) in list.aoff.iter().zip(list.w) {
-                let u = o as usize + ox;
+                let u = o as usize;
                 prod[np] = act.acts[u] & w;
                 np += usize::from(act.nz[u]);
             }
             return geo_sc::apc::apc_reduce(&prod[..np], 1);
         }
         for (&o, w) in list.aoff.iter().zip(list.w.chunks_exact(words)) {
-            let u = o as usize + ox;
+            let u = o as usize;
             let a = &act.acts[u * words..][..words];
             for ((p, &a), &w) in prod[np * words..][..words].iter_mut().zip(a).zip(w) {
                 *p = a & w;
@@ -1152,7 +1064,6 @@ impl PreparedConv {
                 }
             }
         }
-        let scratch = ScratchPool::new(r.groups, words, compact.max_row_entries(), volume * ow, ow);
         Ok(PreparedConv {
             mode: config.accumulation,
             len: r.len,
@@ -1176,7 +1087,7 @@ impl PreparedConv {
             pos_kx,
             pos_ao,
             mac_weights,
-            scratch,
+            groups: r.groups,
         })
     }
 
@@ -1203,79 +1114,105 @@ impl PreparedConv {
         Ok(ActBatch { n, levels })
     }
 
-    /// Phase 2: computes the whole output, parallelizing over spatial
-    /// rows `(b, oy)` so one activation gather is shared by every output
-    /// channel (DESIGN.md §14). Workers write a `[n, oh, cout, ow]`
-    /// staging buffer, one spatial row per chunk, that a serial pass
-    /// transposes to the `[n, cout, oh, ow]` output layout in the form
-    /// `emit` asks for. Bit-identical at every thread count: each staging
-    /// row is written by exactly one worker from shared immutable state,
-    /// and each pixel is a pure function of its indices. Infallible —
-    /// every lookup the compacted kernels perform was validated at
-    /// prepare/accept time.
+    /// Phase 2: computes the whole output, one parallel task per *tile*:
+    /// a contiguous run of spatial rows `(b, oy)` of the `[n·oh, cout,
+    /// ow]` staging buffer, as many as [`Self::tile_units`] allows. A task
+    /// gathers its rows once ([`Self::gather_tile`]), then streams every
+    /// lane entry of every output channel across all of the tile's pixels
+    /// ([`TileKernel`]): the weights stay stationary while the activations
+    /// stream past, so a layer's lane lists are read once per tile instead
+    /// of once per row and column. A serial pass transposes the staging
+    /// buffer to the `[n, cout, oh, ow]` output layout in the form `emit`
+    /// asks for. Bit-identical at every thread count and tile size: each
+    /// pixel folds the same entries in the same order from shared
+    /// immutable state, and each staging row is written by exactly one
+    /// task. Infallible — every lookup the kernels perform was validated
+    /// at prepare/accept time.
     fn compute(&self, batch: &ActBatch, emit: Emit) -> Flow {
         let row_elems = self.cout * self.ow;
         let mut tmp = vec![0f32; batch.n * self.oh * row_elems];
-        tmp.par_chunks_mut(row_elems.max(1))
-            .enumerate()
-            .for_each_init(
-                || self.scratch.take(),
-                |scratch, (row, chunk)| match self.mode {
-                    Accumulation::Or => {
-                        self.compute_spatial::<OrKernel>(row, chunk, batch, scratch)
-                    }
-                    Accumulation::Pbw | Accumulation::Pbhw => {
-                        self.compute_spatial::<GroupedKernel>(row, chunk, batch, scratch)
-                    }
-                    Accumulation::Fxp => {
-                        self.compute_spatial::<FxpKernel>(row, chunk, batch, scratch)
-                    }
-                    Accumulation::Apc => {
-                        self.compute_spatial::<ApcKernel>(row, chunk, batch, scratch)
-                    }
-                },
-            );
+        self.run_tiles(
+            &mut tmp,
+            &batch.levels,
+            (1, row_elems),
+            |chunk, co, vals| {
+                for (t, v) in vals.chunks_exact(self.ow).enumerate() {
+                    chunk[t * row_elems + co * self.ow..][..self.ow].copy_from_slice(v);
+                }
+            },
+        );
         self.transpose_stage(&tmp, batch.n, self.oh, self.ow, emit)
     }
 
-    /// Fused conv→avg-pool compute (§III-A computation skipping): workers
-    /// produce both full-resolution rows of one *pooled* row, apply the
-    /// absorbed batch-norm affine and ReLU clamp per full-res pixel in
-    /// the exact unfused op order, and combine each 2×2 window once —
-    /// the full-resolution tensor is never materialized and the serial
+    /// Fused conv→avg-pool compute (§III-A computation skipping): each
+    /// tile is a run of whole *pooled* rows, i.e. both full-resolution rows
+    /// of each. Per output channel, the tile's full-resolution values get
+    /// the absorbed batch-norm affine and ReLU clamp per pixel in the exact
+    /// unfused op order, and each 2×2 window is combined once — the
+    /// full-resolution tensor is never materialized and the serial
     /// transpose shrinks 4×. Returns the `[n, oh/2, cout, ow/2]` staging
-    /// buffer. Bit-identical to the unfused
-    /// compute → BnAffine::apply → clamp → `avg_pool2x2` pipeline: every
-    /// float op runs in the same order on the same values, and the mode
-    /// kernels (border masking, APC polarity paths included) are the
-    /// unfused ones via the shared [`PreparedConv::gather_row`].
+    /// buffer. Bit-identical to the unfused compute → BnAffine::apply →
+    /// clamp → `avg_pool2x2` pipeline: the counts come from the same tile
+    /// loop, and every float op runs in the same order on the same values.
     fn compute_pooled(&self, batch: &ActBatch, bn: Option<&BnAffine>, relu: bool) -> Vec<f32> {
-        let (poh, pow2) = (self.oh / 2, self.ow / 2);
+        let (ow, pow2) = (self.ow, self.ow / 2);
         let row_elems = self.cout * pow2;
-        let epi = FusedEpilogue { bn, relu };
-        let mut tmp = vec![0f32; batch.n * poh * row_elems];
-        tmp.par_chunks_mut(row_elems.max(1))
+        let mut tmp = vec![0f32; batch.n * (self.oh / 2) * row_elems];
+        self.run_tiles(
+            &mut tmp,
+            &batch.levels,
+            (2, row_elems),
+            |chunk, co, vals| {
+                if let Some(bn) = bn {
+                    let (sc, sh) = (bn.scales[co], bn.shifts[co]);
+                    for v in vals.iter_mut() {
+                        *v = sc * *v + sh;
+                    }
+                }
+                if relu {
+                    for v in vals.iter_mut() {
+                        *v = v.clamp(0.0, 1.0);
+                    }
+                }
+                for (t, pair) in vals.chunks_exact(2 * ow).enumerate() {
+                    let (r0, r1) = pair.split_at(ow);
+                    let dst = &mut chunk[t * row_elems + co * pow2..][..pow2];
+                    for (pox, d) in dst.iter_mut().enumerate() {
+                        let sum = r0[2 * pox] + r0[2 * pox + 1] + r1[2 * pox] + r1[2 * pox + 1];
+                        *d = sum / 4.0;
+                    }
+                }
+            },
+        );
+        tmp
+    }
+
+    /// Runs the tile loop over `staging`, whose task units hold
+    /// `unit_rows` full-resolution rows and `unit_elems` values each: one
+    /// parallel task per tile of [`Self::tile_units`] units, where
+    /// `store(chunk, co, values)` writes one output channel's values of
+    /// the tile's pixels into the tile's chunk.
+    fn run_tiles(
+        &self,
+        staging: &mut [f32],
+        levels: &[u32],
+        (unit_rows, unit_elems): (usize, usize),
+        store: impl Fn(&mut [f32], usize, &mut [f32]) + Sync,
+    ) {
+        let tile = self.tile_units(staging.len() / unit_elems.max(1), unit_rows);
+        staging
+            .par_chunks_mut((tile * unit_elems).max(1))
             .enumerate()
             .for_each_init(
-                || PoolWorker {
-                    scratch: self.scratch.take(),
-                    stage: vec![0f32; 2 * self.cout * self.ow],
-                },
-                |worker, (prow, chunk)| match self.mode {
-                    Accumulation::Or => {
-                        self.compute_spatial_pooled::<OrKernel>(prow, chunk, batch, worker, epi)
-                    }
-                    Accumulation::Pbw | Accumulation::Pbhw => self
-                        .compute_spatial_pooled::<GroupedKernel>(prow, chunk, batch, worker, epi),
-                    Accumulation::Fxp => {
-                        self.compute_spatial_pooled::<FxpKernel>(prow, chunk, batch, worker, epi)
-                    }
-                    Accumulation::Apc => {
-                        self.compute_spatial_pooled::<ApcKernel>(prow, chunk, batch, worker, epi)
-                    }
+                || self.scratch(unit_rows * tile),
+                |worker, (i, chunk)| {
+                    let rows = unit_rows * (chunk.len() / unit_elems);
+                    let r0 = unit_rows * i * tile;
+                    self.tile(r0, rows, levels, &mut worker.0, |co, vals| {
+                        store(chunk, co, vals)
+                    });
                 },
             );
-        tmp
     }
 
     /// Serial transpose of a `[n, r, cout, c]` staging buffer into the
@@ -1324,174 +1261,356 @@ impl PreparedConv {
         }
     }
 
-    /// Gathers the activation words of every (kernel position, output
-    /// column) unit of spatial row `(b, oy)` into `act`, zeroing
-    /// out-of-bounds and level-0 units with a branchless mask and
-    /// recording per-unit nonzero flags. Zero activation words are
-    /// accumulation identities in every mode (OR, popcount, and the
-    /// nz-gated APC push), so dropped lanes need no repacking —
-    /// and masking, rather than skipping the level-0 table read, matches
-    /// the reference kernels' skip semantics exactly even when fault
-    /// injection corrupts a table's level-0 stream.
-    fn gather_row(&self, b: usize, oy: usize, levels: &[u32], act: &mut ActBuf) {
-        let words = self.words;
-        let ActBuf { acts, nz, zeros } = act;
-        zeros.fill(0);
-        for l in 0..self.volume {
-            let dst_a = &mut acts[l * self.ow * words..][..self.ow * words];
-            let dst_n = &mut nz[l * self.ow..][..self.ow];
-            let iy = (oy * self.stride + self.pos_ky[l] as usize) as isize - self.pad as isize;
-            if iy < 0 || iy >= self.h as isize {
-                dst_a.fill(0);
-                dst_n.fill(0);
-                for z in zeros.iter_mut() {
-                    *z += 1;
-                }
-                continue;
+    /// A pooled [`Scratch`] grown to hold tiles of `rows` full-resolution
+    /// rows.
+    fn scratch(&self, rows: usize) -> Pooled {
+        let (pixels, words) = (rows * self.ow, self.words);
+        Pooled::take(|s| {
+            grow(&mut s.acts, self.volume * pixels * words);
+            grow(&mut s.nz, self.volume * pixels);
+            grow(&mut s.acc, self.groups * pixels * words);
+            grow(&mut s.open, pixels);
+            grow(&mut s.counts[0], pixels);
+            grow(&mut s.counts[1], pixels);
+            grow(&mut s.vals, pixels);
+        })
+    }
+
+    /// Task units per tile: as many units of `unit_rows` full-resolution
+    /// rows each (1, or 2 for a pooled row) as fit [`TILE_BYTES`] of
+    /// gathered activation words and [`TILE_PIXELS`] pixels, and no more
+    /// than an even share of the `units` per worker, so every worker gets
+    /// a tile. Tiling moves no output bit: each pixel is a pure function of
+    /// its indices.
+    fn tile_units(&self, units: usize, unit_rows: usize) -> usize {
+        let unit_pixels = unit_rows * self.ow;
+        let unit_bytes = unit_pixels * self.volume * self.words * 8;
+        let budget = (TILE_BYTES / unit_bytes.max(1)).min(TILE_PIXELS / unit_pixels.max(1));
+        let share = units.div_ceil(rayon::current_num_threads().max(1));
+        budget.min(share).max(1)
+    }
+
+    /// Computes the `rows` full-resolution rows from row `r0` (row `=
+    /// b·oh + oy`) and hands each output channel's values, one per tile
+    /// pixel `(row − r0)·ow + ox`, to `out(co, values)`. Dispatches once
+    /// on the accumulation mode and the stream's word count: one- and
+    /// two-word streams (every benchmarked configuration) get kernels
+    /// monomorphized with their words in registers, longer ones read the
+    /// count at run time.
+    fn tile(
+        &self,
+        r0: usize,
+        rows: usize,
+        levels: &[u32],
+        s: &mut Scratch,
+        out: impl FnMut(usize, &mut [f32]),
+    ) {
+        fn by_words<K: TileKernel>(
+            conv: &PreparedConv,
+            r0: usize,
+            rows: usize,
+            levels: &[u32],
+            s: &mut Scratch,
+            out: impl FnMut(usize, &mut [f32]),
+        ) {
+            match conv.words {
+                1 => conv.tile_with::<K, 1>(r0, rows, levels, s, out),
+                2 => conv.tile_with::<K, 2>(r0, rows, levels, s, out),
+                _ => conv.tile_with::<K, 0>(r0, rows, levels, s, out),
             }
-            let rbase = ((b * self.cin + self.pos_ci[l] as usize) * self.h + iy as usize) * self.w;
-            let ao = self.pos_ao[l] as usize;
-            let kx = self.pos_kx[l] as isize - self.pad as isize;
-            if words == 1 {
-                for (ox, ((a, z), zc)) in dst_a
-                    .iter_mut()
-                    .zip(dst_n.iter_mut())
-                    .zip(zeros.iter_mut())
-                    .enumerate()
-                {
-                    let ix = (ox * self.stride) as isize + kx;
-                    let lv = if ix >= 0 && ix < self.w as isize {
-                        levels[rbase + ix as usize] as usize
-                    } else {
-                        0
-                    };
-                    let keep = u64::from(lv != 0);
-                    *a = self.act_flat[ao + lv] & keep.wrapping_neg();
-                    *z = keep as u8;
-                    *zc += 1 - keep as u32;
-                }
-            } else {
-                for ox in 0..self.ow {
-                    let ix = (ox * self.stride) as isize + kx;
-                    let lv = if ix >= 0 && ix < self.w as isize {
-                        levels[rbase + ix as usize] as usize
-                    } else {
-                        0
-                    };
+        }
+        match self.mode {
+            Accumulation::Or | Accumulation::Pbw | Accumulation::Pbhw => {
+                by_words::<OrGroups>(self, r0, rows, levels, s, out)
+            }
+            Accumulation::Fxp => by_words::<Popcounts>(self, r0, rows, levels, s, out),
+            Accumulation::Apc => by_words::<ApcPairs>(self, r0, rows, levels, s, out),
+        }
+    }
+
+    /// The tile loop of one mode `K` at `W` words per stream (0: the
+    /// layer's runtime count): gather the tile once, then per output
+    /// channel count its positive and negative lists at every pixel and
+    /// hand `(pos − neg) / len` to `out`.
+    fn tile_with<K: TileKernel, const W: usize>(
+        &self,
+        r0: usize,
+        rows: usize,
+        levels: &[u32],
+        s: &mut Scratch,
+        mut out: impl FnMut(usize, &mut [f32]),
+    ) {
+        let words = tile_words::<W>(self.words);
+        let pixels = rows * self.ow;
+        self.gather_tile::<W>(r0, rows, levels, s);
+        let Scratch {
+            acts,
+            nz,
+            acc,
+            open,
+            counts: [pos, neg],
+            vals,
+            ..
+        } = s;
+        let act = TileAct {
+            acts,
+            nz,
+            rows,
+            words,
+        };
+        let acc = &mut acc[..self.groups * pixels * words];
+        let (pos, neg) = (&mut pos[..pixels], &mut neg[..pixels]);
+        let (open, vals) = (&mut open[..pixels], &mut vals[..pixels]);
+        for co in 0..self.cout {
+            let [lp, ln] = self.compact.row(co);
+            K::count::<W>(&lp, &act, acc, open, pos);
+            K::count::<W>(&ln, &act, acc, open, neg);
+            for ((v, &p), &n) in vals.iter_mut().zip(pos.iter()).zip(neg.iter()) {
+                *v = (p - n) as f32 / self.len as f32;
+            }
+            out(co, vals);
+        }
+    }
+
+    /// Gathers the activation words of tile rows `r0..r0 + rows` into
+    /// `s.acts`, lane-major (`[lane][pixel][word]`, with pixel
+    /// `(row − r0)·ow + ox`), zeroing out-of-bounds and level-0 units
+    /// with a branchless mask and recording per-unit nonzero flags in
+    /// `s.nz`. Each row is gathered once per call and shared by every
+    /// output channel. Zero activation words are accumulation identities
+    /// in every mode (OR, popcount, and the nz-gated APC pairing), so
+    /// dropped lanes need no repacking — and masking, rather than skipping
+    /// the level-0 table read, matches the reference kernels' skip
+    /// semantics exactly even when fault injection corrupts a table's
+    /// level-0 stream.
+    fn gather_tile<const W: usize>(&self, r0: usize, rows: usize, levels: &[u32], s: &mut Scratch) {
+        let (ow, words) = (self.ow, tile_words::<W>(self.words));
+        let pixels = rows * ow;
+        let acts = &mut s.acts[..self.volume * pixels * words];
+        let nz = &mut s.nz[..self.volume * pixels];
+        // Output coordinate `o` reads input `o·stride + kpos − pad`, when
+        // that lies inside `0..n`.
+        let inside = |o: usize, kpos: usize, n: usize| {
+            (o * self.stride + kpos)
+                .checked_sub(self.pad)
+                .filter(|&i| i < n)
+        };
+        let lanes = acts
+            .chunks_exact_mut(pixels * words)
+            .zip(nz.chunks_exact_mut(pixels));
+        for (l, (lane_a, lane_n)) in lanes.enumerate() {
+            let (ci, ky, kx) = (
+                self.pos_ci[l] as usize,
+                self.pos_ky[l] as usize,
+                self.pos_kx[l] as usize,
+            );
+            let table = &self.act_flat[self.pos_ao[l] as usize..];
+            let runs = lane_a
+                .chunks_exact_mut(ow * words)
+                .zip(lane_n.chunks_exact_mut(ow));
+            for (row, (dst_a, dst_n)) in (r0..).zip(runs) {
+                let (b, oy) = (row / self.oh, row % self.oh);
+                let Some(iy) = inside(oy, ky, self.h) else {
+                    dst_a.fill(0);
+                    dst_n.fill(0);
+                    continue;
+                };
+                let src = &levels[((b * self.cin + ci) * self.h + iy) * self.w..][..self.w];
+                for (ox, (a, z)) in dst_a.chunks_exact_mut(words).zip(dst_n).enumerate() {
+                    let lv = inside(ox, kx, self.w).map_or(0, |ix| src[ix] as usize);
                     let keep = u64::from(lv != 0);
                     let mask = keep.wrapping_neg();
-                    let src = ao + lv * words;
-                    for j in 0..words {
-                        dst_a[ox * words + j] = self.act_flat[src + j] & mask;
+                    for (a, &t) in a.iter_mut().zip(&table[lv * words..][..words]) {
+                        *a = t & mask;
                     }
-                    dst_n[ox] = keep as u8;
-                    zeros[ox] += 1 - keep as u32;
+                    *z = keep as u8;
                 }
             }
         }
-    }
-
-    /// Computes one spatial output row (`b`, `oy` fixed; all `co`, `ox`),
-    /// monomorphized over the accumulation-mode kernel: one shared
-    /// activation gather, then each output channel's pixels read its two
-    /// lane lists — no per-row repacking at all.
-    fn compute_spatial<M: ModeKernel>(
-        &self,
-        row: usize,
-        chunk: &mut [f32],
-        batch: &ActBatch,
-        scratch: &mut Scratch,
-    ) {
-        let oy = row % self.oh.max(1);
-        let b = row / self.oh.max(1);
-        self.compute_row_into::<M>(b, oy, chunk, batch, scratch);
-        scratch.debug_check();
-    }
-
-    /// Computes full-resolution spatial row `(b, oy)` into `out`
-    /// (`cout·ow`, channel-major): one shared activation gather, then each
-    /// output channel's pixels read its two lane lists.
-    fn compute_row_into<M: ModeKernel>(
-        &self,
-        b: usize,
-        oy: usize,
-        out: &mut [f32],
-        batch: &ActBatch,
-        scratch: &mut Scratch,
-    ) {
-        let ck = &self.compact;
-        let Scratch { act, pix } = scratch;
-        self.gather_row(b, oy, &batch.levels, act);
-        for (co, out_row) in out.chunks_mut(self.ow.max(1)).enumerate() {
-            let view = ck.row(co);
-            for (ox, out_v) in out_row.iter_mut().enumerate() {
-                *out_v = M::pixel(pix, &view, act, ox, self.words) as f32 / self.len as f32;
-            }
-        }
-    }
-
-    /// Computes one *pooled* output row `(b, poy)`: both full-resolution
-    /// rows land in the worker's staging buffer, the absorbed batch-norm
-    /// affine and ReLU clamp run per full-res pixel (same elementwise ops,
-    /// same order as the unfused steps), and each 2×2 window is combined
-    /// once in `avg_pool2x2`'s tap order.
-    fn compute_spatial_pooled<M: ModeKernel>(
-        &self,
-        prow: usize,
-        chunk: &mut [f32],
-        batch: &ActBatch,
-        worker: &mut PoolWorker<'_>,
-        epi: FusedEpilogue<'_>,
-    ) {
-        let poh = (self.oh / 2).max(1);
-        let pow2 = (self.ow / 2).max(1);
-        let poy = prow % poh;
-        let b = prow / poh;
-        let half_elems = self.cout * self.ow;
-        for half in 0..2 {
-            let stage_row = &mut worker.stage[half * half_elems..][..half_elems];
-            self.compute_row_into::<M>(b, 2 * poy + half, stage_row, batch, &mut worker.scratch);
-            for co in 0..self.cout {
-                let row = &mut stage_row[co * self.ow..][..self.ow];
-                if let Some(bn) = epi.bn {
-                    let (sc, sh) = (bn.scales[co], bn.shifts[co]);
-                    for v in row.iter_mut() {
-                        *v = sc * *v + sh;
-                    }
-                }
-                if epi.relu {
-                    for v in row.iter_mut() {
-                        *v = v.clamp(0.0, 1.0);
-                    }
-                }
-            }
-        }
-        let (s0, s1) = worker.stage.split_at(half_elems);
-        for (co, out_row) in chunk.chunks_mut(pow2).enumerate() {
-            let r0 = &s0[co * self.ow..][..self.ow];
-            let r1 = &s1[co * self.ow..][..self.ow];
-            for (pox, out_v) in out_row.iter_mut().enumerate() {
-                let sum = r0[2 * pox] + r0[2 * pox + 1] + r1[2 * pox] + r1[2 * pox + 1];
-                *out_v = sum / 4.0;
-            }
-        }
-        worker.scratch.debug_check();
     }
 }
 
-/// Per-worker state of the fused pooled compute: the pooled scratch plus
-/// the two-full-res-row staging buffer the 2×2 combine reads.
-struct PoolWorker<'a> {
-    scratch: PooledScratch<'a>,
-    stage: Vec<f32>,
+/// Byte budget of one tile's gathered activation words: half of a 2 MiB
+/// L2, so a tile stays cache-resident while every lane entry of every
+/// output channel streams across it.
+const TILE_BYTES: usize = 1 << 20;
+
+/// Most pixels in one tile. A run this long already amortizes an entry's
+/// set-up and keeps the per-pixel accumulators in L1; a longer one holds
+/// more scratch for no measured gain — a layer with few kernel positions
+/// would otherwise fit hundreds of rows in [`TILE_BYTES`].
+const TILE_PIXELS: usize = 64;
+
+/// A gathered tile, as the [`TileKernel`]s read it.
+struct TileAct<'a> {
+    /// `[lane][pixel][word]` activation words ([`Scratch::acts`]).
+    acts: &'a [u64],
+    /// `[lane][pixel]` nonzero flags ([`Scratch::nz`]).
+    nz: &'a [u8],
+    /// Rows in the tile: an entry's gather offset `aoff = lane·ow` times
+    /// `rows` is its lane's first unit.
+    rows: usize,
+    /// Words per stream.
+    words: usize,
 }
 
-/// The near-memory steps a fused conv→pool step absorbed, applied per
-/// full-resolution pixel before the pooled combine.
-#[derive(Clone, Copy)]
-struct FusedEpilogue<'a> {
-    bn: Option<&'a BnAffine>,
-    relu: bool,
+/// Words per stream of a kernel monomorphized at `W` words: `W` itself,
+/// or the runtime count `words` when `W` is 0.
+#[inline(always)]
+fn tile_words<const W: usize>(words: usize) -> usize {
+    if W == 0 {
+        words
+    } else {
+        W
+    }
+}
+
+/// Weight-stationary accumulation kernels (DESIGN.md §14): each walks one
+/// polarity list row once, holds each entry's stream words in registers
+/// and streams them across the contiguous activation words of every tile
+/// pixel into per-pixel accumulators. Each pixel folds the same entries
+/// in the same order as the reference kernels; OR folds and popcount sums are exact, and APC pairing is
+/// carried per pixel, so every count is bit-identical to the reference.
+trait TileKernel {
+    /// Overwrites `out[p]` with `list`'s accumulated count at every tile
+    /// pixel `p`. `acc` holds `groups · out.len() · words` words and
+    /// `open` `out.len()`; both are scratch.
+    fn count<const W: usize>(
+        list: &RowView,
+        act: &TileAct,
+        acc: &mut [u64],
+        open: &mut [u64],
+        out: &mut [i64],
+    );
+}
+
+/// `ones(a ∧ w)` summed over one pixel's stream words.
+#[inline(always)]
+fn and_ones(a: &[u64], w: &[u64]) -> i64 {
+    a.iter()
+        .zip(w)
+        .map(|(&a, &w)| i64::from((a & w).count_ones()))
+        .sum()
+}
+
+/// OR accumulation into per-group, per-pixel words (`[group][pixel][word]`):
+/// Or is the one-group case, Pbw/Pbhw have `k` or `k²` groups.
+struct OrGroups;
+
+impl TileKernel for OrGroups {
+    #[inline]
+    fn count<const W: usize>(
+        list: &RowView,
+        act: &TileAct,
+        acc: &mut [u64],
+        _open: &mut [u64],
+        out: &mut [i64],
+    ) {
+        let words = tile_words::<W>(act.words);
+        let (run, stride) = (out.len() * words, act.rows * words);
+        let entries = || {
+            list.aoff
+                .iter()
+                .zip(list.group)
+                .zip(list.w.chunks_exact(words))
+        };
+        acc.fill(0);
+        for ((&o, &g), w) in entries() {
+            let a = &act.acts[o as usize * stride..][..run];
+            let s = &mut acc[g as usize * run..][..run];
+            for (s, a) in s.chunks_exact_mut(words).zip(a.chunks_exact(words)) {
+                for j in 0..words {
+                    s[j] |= a[j] & w[j];
+                }
+            }
+        }
+        out.fill(0);
+        for group in acc.chunks_exact(run) {
+            for (c, s) in out.iter_mut().zip(group.chunks_exact(words)) {
+                *c += s.iter().map(|x| i64::from(x.count_ones())).sum::<i64>();
+            }
+        }
+    }
+}
+
+/// Exact fixed-point accumulation: per-pixel popcount sums.
+struct Popcounts;
+
+impl TileKernel for Popcounts {
+    #[inline]
+    fn count<const W: usize>(
+        list: &RowView,
+        act: &TileAct,
+        _acc: &mut [u64],
+        _open: &mut [u64],
+        out: &mut [i64],
+    ) {
+        let words = tile_words::<W>(act.words);
+        let (run, stride) = (out.len() * words, act.rows * words);
+        let entries = || list.aoff.iter().zip(list.w.chunks_exact(words));
+        out.fill(0);
+        for (&o, w) in entries() {
+            let a = &act.acts[o as usize * stride..][..run];
+            for (c, a) in out.iter_mut().zip(a.chunks_exact(words)) {
+                *c += and_ones(a, w);
+            }
+        }
+    }
+}
+
+/// One-level APC accumulation with its pairing carried per pixel. The
+/// reference pushes a product per live unit (nonzero activation level)
+/// in list order and [`geo_sc::apc::apc_reduce`] counts each consecutive
+/// pair `(a, b)` as `2·ones(a∧b) + ones(a∨b)` and an odd tail as
+/// `ones(tail)`; by `ones(a∨b) = ones(a) + ones(b) − ones(a∧b)` that is
+/// `ones(a) + ones(b) + ones(a∧b)`. So each pixel adds `ones(x)` for every
+/// product `x`, plus `ones(held ∧ x)` while a product is held open
+/// (`open[p]` all ones, the held product in `acc`), and a live unit
+/// toggles the open flag ([`apc_step`]). A dead unit's words are masked
+/// to zero, so it adds nothing and leaves the pairing as it was.
+/// Integer-exact, with no per-pixel compaction or branch.
+struct ApcPairs;
+
+/// Folds product `a ∧ w` of a unit with nonzero flag `z` into one
+/// pixel's APC count `c`, open flag `m` and held product `h`.
+#[inline(always)]
+fn apc_step(c: &mut i64, m: &mut u64, h: &mut [u64], a: &[u64], w: &[u64], z: u8) {
+    let mask = *m;
+    for ((h, &a), &w) in h.iter_mut().zip(a).zip(w) {
+        let x = a & w;
+        *c += i64::from(x.count_ones()) + i64::from((*h & mask & x).count_ones());
+        *h = (*h & mask) | (x & !mask);
+    }
+    *m = mask ^ u64::from(z).wrapping_neg();
+}
+
+impl TileKernel for ApcPairs {
+    #[inline]
+    fn count<const W: usize>(
+        list: &RowView,
+        act: &TileAct,
+        acc: &mut [u64],
+        open: &mut [u64],
+        out: &mut [i64],
+    ) {
+        let words = tile_words::<W>(act.words);
+        let (pixels, held) = (out.len(), &mut acc[..out.len() * words]);
+        let entries = || list.aoff.iter().zip(list.w.chunks_exact(words));
+        out.fill(0);
+        open.fill(0);
+        for (&o, w) in entries() {
+            let unit = o as usize * act.rows;
+            let a = &act.acts[unit * words..][..pixels * words];
+            let nz = &act.nz[unit..][..pixels];
+            let cols = out
+                .iter_mut()
+                .zip(open.iter_mut())
+                .zip(held.chunks_exact_mut(words));
+            for (((c, m), h), (a, &z)) in cols.zip(a.chunks_exact(words).zip(nz)) {
+                apc_step(c, m, h, a, w, z);
+            }
+        }
+    }
 }
 
 impl PreparedLinear {
@@ -1507,7 +1626,7 @@ impl PreparedLinear {
             )));
         }
         let compact = CompactKernel::build(&r, 1);
-        let scratch = ScratchPool::new(r.groups, words, compact.max_row_entries(), features, 1);
+        let max_row_entries = compact.max_row_entries();
         Ok(PreparedLinear {
             mode: config.accumulation,
             len: r.len,
@@ -1520,7 +1639,8 @@ impl PreparedLinear {
             act_flat,
             compact,
             pos_ao,
-            scratch,
+            groups: r.groups,
+            max_row_entries,
         })
     }
 
@@ -1553,8 +1673,9 @@ impl PreparedLinear {
             .par_chunks_mut(chunk_rows)
             .enumerate()
             .for_each_init(
-                || self.scratch.take(),
+                || self.scratch(),
                 |scratch, (ci, chunk)| {
+                    let scratch = &mut scratch.0;
                     let start = ci * chunk_rows;
                     match self.mode {
                         Accumulation::Or => {
@@ -1570,16 +1691,29 @@ impl PreparedLinear {
                             self.compute_chunk::<ApcKernel>(start, chunk, batch, scratch)
                         }
                     }
-                    scratch.debug_check();
                 },
             );
         emit.apply(out)
     }
 
+    /// A pooled [`Scratch`] grown to hold one batch element's gather and
+    /// one neuron's accumulators.
+    fn scratch(&self) -> Pooled {
+        let words = self.words;
+        Pooled::take(|s| {
+            grow(&mut s.acts, self.features * words);
+            grow(&mut s.nz, self.features);
+            grow(&mut s.acc, self.groups * words);
+            grow(&mut s.prod, self.max_row_entries * words);
+        })
+    }
+
     /// Gathers batch element `b`'s activation words — one unit per input
-    /// feature — into `act`, zeroing level-0 units with a branchless
-    /// mask (identical semantics to [`PreparedConv::gather_row`]).
-    fn gather_batch(&self, b: usize, levels: &[u32], act: &mut ActBuf) {
+    /// feature — into `acts` and `nz`, zeroing level-0 units with a
+    /// branchless mask (identical semantics to
+    /// [`PreparedConv::gather_tile`]), and returns its count of level-0
+    /// units.
+    fn gather_batch(&self, b: usize, levels: &[u32], acts: &mut [u64], nz: &mut [u8]) -> u32 {
         let words = self.words;
         let base = b * self.features;
         let mut zero_units = 0u32;
@@ -1589,12 +1723,12 @@ impl PreparedLinear {
             let mask = keep.wrapping_neg();
             let src = self.pos_ao[f] as usize + lv * words;
             for j in 0..words {
-                act.acts[f * words + j] = self.act_flat[src + j] & mask;
+                acts[f * words + j] = self.act_flat[src + j] & mask;
             }
-            act.nz[f] = keep as u8;
+            nz[f] = keep as u8;
             zero_units += 1 - keep as u32;
         }
-        act.zeros[0] = zero_units;
+        zero_units
     }
 
     /// Computes one worker's run of output neurons (`row = b·outf + o`),
@@ -1609,19 +1743,30 @@ impl PreparedLinear {
         batch: &ActBatch,
         scratch: &mut Scratch,
     ) {
-        let ck = &self.compact;
-        let Scratch { act, pix } = scratch;
-        let mut cur_b = usize::MAX;
+        let (ck, words) = (&self.compact, self.words);
+        let Scratch {
+            acts,
+            nz,
+            acc,
+            prod,
+            ..
+        } = scratch;
+        let (acts, nz) = (&mut acts[..self.features * words], &mut nz[..self.features]);
+        let mut pix = PixelBuf {
+            prod: &mut prod[..self.max_row_entries * words],
+            acc: &mut acc[..self.groups * words],
+        };
+        let (mut cur_b, mut zeros) = (usize::MAX, 0);
         for (j, out_v) in chunk.iter_mut().enumerate() {
             let row = start + j;
             let o = row % self.outf;
             let b = row / self.outf;
             if b != cur_b {
-                self.gather_batch(b, &batch.levels, act);
+                zeros = self.gather_batch(b, &batch.levels, acts, nz);
                 cur_b = b;
             }
-            let view = ck.row(o);
-            *out_v = M::pixel(pix, &view, act, 0, self.words) as f32 / self.len as f32;
+            let act = ActBuf { acts, nz, zeros };
+            *out_v = M::neuron(&mut pix, &ck.row(o), &act, words) as f32 / self.len as f32;
         }
     }
 }
@@ -2120,9 +2265,7 @@ impl ScEngine {
         let (hits0, misses0) = self.cache.lookup_counts();
         let r = match layer {
             Layer::Conv2d(conv) => {
-                if shape.len() != 4 || shape[1] != conv.cin() {
-                    return Err(shape_mismatch(format!("(N, {}, H, W)", conv.cin()), shape));
-                }
+                conv.check_input(shape).map_err(GeoError::Nn)?;
                 self.resolve_conv(conv, len, param_layer)?
             }
             Layer::Linear(lin) => {
@@ -3511,6 +3654,44 @@ mod tests {
             let yb = engine(cfg).forward_reference(&mut mb, &x, true).unwrap();
             assert_eq!(bits(&ya), bits(&yb), "{cfg:?}");
         }
+    }
+
+    #[test]
+    fn tile_budgets_split_rows_at_the_pinned_edges() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        let mut eng = engine(GeoConfig::geo(128, 128));
+        // A 3×3, pad-1 conv at two words per stream on `(cin, h, w)`.
+        let mut prepare = |cin: usize, h: usize, w: usize| {
+            let conv = Layer::Conv2d(geo_nn::Conv2d::new(cin, 1, 3, 1, 1, false, &mut rng));
+            let (mut tel, mut res) = (EngineTelemetry::default(), ResilienceReport::default());
+            match eng.prepare_layer(&conv, &[1, cin, h, w], 128, 0, &mut tel, &mut res) {
+                Ok(PreparedStep::Conv { layer, .. }) => layer,
+                _ => unreachable!("a conv layer prepares to a conv step"),
+            }
+        };
+        // Tile lengths over `units` task units at `threads` workers, as
+        // `par_chunks_mut` cuts them.
+        let split = |layer: &PreparedConv, threads: usize, units: usize, unit_rows: usize| {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build();
+            let tile = pool.unwrap().install(|| layer.tile_units(units, unit_rows));
+            let starts = (0..units).step_by(tile);
+            starts.map(|r| tile.min(units - r)).collect::<Vec<_>>()
+        };
+        // `compaction_equivalence`'s tile-edge geometry: 14 columns, so the
+        // pixel cap binds at 4 rows (129,024 gathered bytes a row would
+        // allow 8). Its 3 images' 42 rows cut into ten tiles of 4 and a
+        // short one; the fused step's units are pooled rows of 28 pixels.
+        let edges = prepare(64, 14, 14);
+        assert_eq!(edges.volume * edges.ow * edges.words * 8, 129_024);
+        assert_eq!(split(&edges, 1, 42, 1), [4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 2]);
+        assert_eq!(split(&edges, 8, 42, 1), [4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 2]);
+        assert_eq!(split(&edges, 1, 21, 2), [2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1]);
+        // 4,608 kernel positions on a 2×2 map gather 147,456 bytes a row,
+        // so the 1 MiB budget binds at 7 rows; 8 workers share 16 rows.
+        let wide = prepare(512, 2, 2);
+        assert_eq!(split(&wide, 1, 16, 1), [7, 7, 2]);
+        assert_eq!(split(&wide, 8, 16, 1), [2; 8]);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! on both sides of each comparison.
 
 use geo_core::{Accumulation, GeoConfig, ScEngine};
-use geo_nn::{Conv2d, Flatten, Layer, Linear, Relu, Sequential, Tensor};
+use geo_nn::{AvgPool2d, BatchNorm2d, Conv2d, Flatten, Layer, Linear, Relu, Sequential, Tensor};
 use geo_sc::{RngKind, SharingLevel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -255,6 +255,52 @@ fn kernel_larger_than_input_matches_reference() {
                 reference, compacted,
                 "{mode:?} diverged at {threads} threads"
             );
+        }
+    }
+}
+
+/// A conv whose `n·oh` rows the compute phase splits into several tiles:
+/// `cin` 64, 3×3, pad 1, a 14×14 input at two words per stream, batch 3
+/// and `cout` 5. Tiles hold at most 64 pixels, so its 42 rows cut into
+/// ten tiles of 4 rows and a short one of 2, and the tile of rows 12–15
+/// straddles the first two images. Followed by BatchNorm/ReLU/AvgPool,
+/// the fused step tiles whole pooled rows, two per tile and one in the
+/// last, again straddling images. Every mode must match the oracle bit
+/// for bit, fused or not, at 1, 3 and 8 threads.
+#[test]
+fn tiled_conv_matches_reference_across_tile_edges() {
+    let mut rng = StdRng::seed_from_u64(21);
+    let mut conv = Conv2d::new(64, 5, 3, 1, 1, false, &mut rng);
+    conv.weight.value = sparsify(&conv.weight.value);
+    let mut bn = BatchNorm2d::new(5);
+    // The positive inputs leave every channel's conv output negative here,
+    // around -0.65 at two words; these statistics center it so the ReLU
+    // keeps a mix of zero, fractional and saturated values.
+    bn.running_mean = Tensor::from_vec(vec![5], vec![-0.6, -0.7, -0.6, -0.7, -0.65]).unwrap();
+    bn.running_var = Tensor::from_vec(vec![5], vec![0.01, 0.02, 0.01, 0.03, 0.02]).unwrap();
+    let plain = Sequential::new(vec![Layer::Conv2d(conv.clone())]);
+    let fused = Sequential::new(vec![
+        Layer::Conv2d(conv),
+        Layer::BatchNorm2d(bn),
+        Layer::Relu(Relu::new()),
+        Layer::AvgPool2d(AvgPool2d::new()),
+    ]);
+    let mut x = Tensor::kaiming(&[3, 64, 14, 14], 16, &mut rng).map(|v| v.abs().min(1.0));
+    x.data_mut()[0] = 1.0;
+    for (model, fused_steps) in [(plain, 0), (fused, 1)] {
+        for mode in Accumulation::ALL {
+            let cfg = GeoConfig::geo(128, 128).with_accumulation(mode);
+            let prepared = ScEngine::new(cfg).unwrap().prepare(&model, x.shape());
+            assert_eq!(prepared.unwrap().fused_conv_pool_steps(), fused_steps);
+            for threads in [1, 3, 8] {
+                let (reference, compacted) = forward_both(threads, cfg, &model, &x);
+                let live = reference.iter().any(|&b| f32::from_bits(b) != 0.0);
+                assert!(live, "{mode:?} with {fused_steps} fused steps is all zeros");
+                assert_eq!(
+                    reference, compacted,
+                    "{mode:?} with {fused_steps} fused steps diverged at {threads} threads"
+                );
+            }
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Property-based tests on the SC engine: invariants that must hold for
 //! any weights, inputs, and configuration.
 
-use geo_core::{Accumulation, GeoConfig, ScEngine};
-use geo_nn::{Conv2d, Layer, Linear, Sequential, Tensor};
+use geo_core::{Accumulation, GeoConfig, GeoError, ScEngine};
+use geo_nn::{Conv2d, Layer, Linear, NnError, Sequential, Tensor};
 use geo_sc::{RngKind, SharingLevel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -199,4 +199,46 @@ fn progressive_full_scale_clamps_to_buffer_limit() {
         (0.9..1.0).contains(&v),
         "progressive full scale should clamp just below 1.0, got {v}"
     );
+}
+
+/// A hand-built conv that yields no output pixel on its input — a kernel
+/// larger than the padded input, or a zero stride — gets the typed shape
+/// error naming the condition from every engine entry point (prepare,
+/// inference and training forwards, the oracle, the single-layer run),
+/// never a panic or an internal error. `ModelSpec::build` rejects these
+/// geometries too, but hand-built models do not pass through it.
+#[test]
+fn conv_without_output_pixels_is_a_shape_error() {
+    let mut rng = StdRng::seed_from_u64(0);
+    let cases = [
+        (
+            Conv2d::new(1, 2, 5, 1, 0, false, &mut rng),
+            "kernel 5 ≤ H + 2·0",
+        ),
+        (
+            Conv2d::new(1, 2, 3, 0, 1, false, &mut rng),
+            "stride of at least 1",
+        ),
+    ];
+    let x = Tensor::full(&[1, 1, 3, 3], 0.5);
+    for (conv, condition) in cases {
+        let mut model = Sequential::new(vec![Layer::Conv2d(conv)]);
+        let mut engine = ScEngine::new(GeoConfig::geo(32, 32)).unwrap();
+        let results = [
+            engine.prepare(&model, x.shape()).map(|_| ()),
+            engine.forward(&mut model, &x, false).map(|_| ()),
+            engine.forward(&mut model, &x, true).map(|_| ()),
+            engine.forward_reference(&mut model, &x, false).map(|_| ()),
+            engine.forward_single_layer(&model, 0, &x).map(|_| ()),
+        ];
+        for (i, result) in results.into_iter().enumerate() {
+            match result {
+                Err(GeoError::Nn(NnError::ShapeMismatch { expected, actual })) => {
+                    assert!(expected.contains(condition), "entry {i}: {expected}");
+                    assert_eq!(actual, x.shape(), "entry {i}");
+                }
+                other => panic!("entry {i} ({condition}): expected a shape error, got {other:?}"),
+            }
+        }
+    }
 }

@@ -67,7 +67,39 @@ impl Conv2d {
         self.padding
     }
 
-    /// Output spatial size for an input of `(h, w)`.
+    /// Checks that an input of shape `s` is `(N, Cin, H, W)` with `Cin`
+    /// matching the layer, and that the layer yields at least one output
+    /// pixel on it: `stride ≥ 1` and a kernel no larger than the padded
+    /// input (`k ≤ H + 2·pad`, `k ≤ W + 2·pad`). [`Conv2d::output_size`]
+    /// is defined only for inputs that pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ShapeMismatch`] naming the failed condition.
+    pub fn check_input(&self, s: &[usize]) -> Result<(), NnError> {
+        let mismatch = |expected: String| NnError::ShapeMismatch {
+            expected,
+            actual: s.to_vec(),
+        };
+        if s.len() != 4 || s[1] != self.cin() {
+            return Err(mismatch(format!("(N, {}, H, W)", self.cin())));
+        }
+        if self.stride == 0 {
+            return Err(mismatch("a conv stride of at least 1".into()));
+        }
+        let (k, pad) = (self.kernel(), self.padding);
+        let padded = |n: usize| n.saturating_add(pad.saturating_mul(2));
+        if k > padded(s[2]) || k > padded(s[3]) {
+            return Err(mismatch(format!(
+                "(N, {}, H, W) with kernel {k} ≤ H + 2·{pad} and ≤ W + 2·{pad}",
+                self.cin()
+            )));
+        }
+        Ok(())
+    }
+
+    /// Output spatial size for an input of `(h, w)` that passes
+    /// [`Conv2d::check_input`].
     pub fn output_size(&self, h: usize, w: usize) -> (usize, usize) {
         let k = self.kernel();
         (
@@ -80,16 +112,11 @@ impl Conv2d {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::ShapeMismatch`] unless the input is
-    /// `(N, Cin, H, W)` with `Cin` matching the layer.
+    /// Returns [`NnError::ShapeMismatch`] unless the input passes
+    /// [`Conv2d::check_input`].
     pub fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
         let s = input.shape();
-        if s.len() != 4 || s[1] != self.cin() {
-            return Err(NnError::ShapeMismatch {
-                expected: format!("(N, {}, H, W)", self.cin()),
-                actual: s.to_vec(),
-            });
-        }
+        self.check_input(s)?;
         let (n, cin, h, w) = (s[0], s[1], s[2], s[3]);
         let k = self.kernel();
         let (oh, ow) = self.output_size(h, w);
@@ -244,6 +271,20 @@ mod tests {
         let mut conv = Conv2d::new(3, 4, 3, 1, 1, false, &mut rng());
         assert!(conv.forward(&Tensor::zeros(&[1, 2, 5, 5])).is_err());
         assert!(conv.backward(&Tensor::zeros(&[1, 4, 5, 5])).is_err());
+    }
+
+    #[test]
+    fn rejects_geometries_without_output_pixels() {
+        // A 5×5 kernel without padding does not fit a 3×3 input, and a
+        // zero stride never advances: both are shape errors, not panics.
+        let mut conv = Conv2d::new(1, 2, 5, 1, 0, false, &mut rng());
+        let err = conv.forward(&Tensor::zeros(&[1, 1, 3, 3])).unwrap_err();
+        assert!(err.to_string().contains("kernel 5 ≤ H + 2·0"), "{err}");
+        assert!(conv.forward(&Tensor::zeros(&[1, 1, 3, 5])).is_err());
+        assert!(conv.forward(&Tensor::zeros(&[1, 1, 5, 5])).is_ok());
+        let mut conv = Conv2d::new(1, 2, 3, 0, 1, false, &mut rng());
+        let err = conv.forward(&Tensor::zeros(&[1, 1, 4, 4])).unwrap_err();
+        assert!(err.to_string().contains("stride of at least 1"), "{err}");
     }
 
     #[test]
